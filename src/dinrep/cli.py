@@ -15,6 +15,7 @@ Every path argument accepts '-' for standard input or output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -137,6 +138,7 @@ def _cmd_din(args) -> int:
             "nodes_explored": result.nodes_explored,
             "elapsed": result.elapsed,
             "best_upper": result.best_upper,
+            "levels": [dataclasses.asdict(level) for level in result.levels],
         }
         if result.witness is not None:
             obj["witness"] = json.loads(rep_to_json(result.witness))

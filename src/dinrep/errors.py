@@ -19,3 +19,7 @@ class CyclicGraphError(ValueError):
 
 class BudgetExhaustedError(RuntimeError):
     """Exact search gave up before producing a certified answer."""
+
+
+class SearchDepthError(ValueError):
+    """Input too large for the recursive exact search at the recursion limit."""

@@ -10,15 +10,20 @@ vertex order (all in-neighbors of a vertex precede it):
 * enumerate size functions s(v) in [1, k] that strictly increase along
   every arc -- and, since sizes increase along whole paths, along every
   reachable pair -- with s(v) >= gamma(v) + 1 and s(v) <= k minus the
-  longest path leaving v.  A size function where some pairwise non-adjacent
-  set with pairwise distinct sizes sums above k is discarded (those sets
-  must be pairwise disjoint).
+  longest path leaving v.  Pairwise non-adjacent vertices with distinct
+  sizes must have pairwise disjoint sets, so in every maximal non-adjacent
+  clique the distinct sizes sum to at most k.  That bound is checked as
+  each vertex is sized, from a running set and sum of distinct sizes per
+  clique, so a partial size function that already breaks it is discarded
+  with everything below it.
 
 * backtracking set assignment: each vertex takes s(v) colors, reusing old
   colors where allowed and introducing fresh colors only as the next unused
   ids (canonical introduction order breaks color symmetry).  Non-adjacent
   vertices with different sizes must stay disjoint; every in-neighbor must
-  be hit by a reused color.
+  be hit by a reused color.  Each unassigned vertex keeps a mask of the
+  colors it may no longer take, updated as vertices are assigned and
+  restored as they are unassigned.
 
 Everything is deterministic: fixed orders, fixed enumeration, no RNG.
 """
@@ -26,17 +31,23 @@ Everything is deterministic: fixed orders, fixed enumeration, no RNG.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
 
+from .constructors import inductive_construction, pairing_construction
 from .digraph import Digraph, is_acyclic, left_to_right_order
-from .errors import BudgetExhaustedError, CyclicGraphError
+from .errors import BudgetExhaustedError, CyclicGraphError, SearchDepthError
 from .representation import Representation, canonicalize
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 BUDGET_EXHAUSTED = "budget_exhausted"
+
+# interpreter frames kept free for the callers of the search; each search
+# phase recurses once per vertex on top of them
+_FRAME_RESERVE = 150
 
 
 @dataclass(frozen=True)
@@ -55,13 +66,25 @@ DEFAULT_BUDGET = SolveBudget()
 
 
 @dataclass(frozen=True)
+class LevelStats:
+    """Work done by the decision search at one palette size k."""
+
+    k: int
+    nodes: int
+    size_functions: int  # complete size functions that reached assignment
+    seconds: float
+
+
+@dataclass(frozen=True)
 class SolveResult:
     status: str  # one of OPTIMAL, INFEASIBLE, BUDGET_EXHAUSTED
     din: int | None
     witness: Representation | None
     nodes_explored: int
     elapsed: float
+    # smaller constructor palette, set when the budget ran out
     best_upper: int | None = None
+    levels: tuple[LevelStats, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -73,6 +96,11 @@ class FeasibilityResult:
 
 class _OutOfNodes(Exception):
     pass
+
+
+def max_search_vertices() -> int:
+    """Largest vertex count the recursive search handles at this recursion limit."""
+    return (sys.getrecursionlimit() - _FRAME_RESERVE) // 2 - 1
 
 
 def _maximal_nonadjacent_cliques(n: int, adj: list[int]) -> list[int]:
@@ -103,43 +131,60 @@ class _Search:
 
     def __init__(self, D: Digraph, max_nodes: int):
         n = D.n
+        limit = max_search_vertices()
+        if n > limit:
+            raise SearchDepthError(
+                f"exact search handles at most {limit} vertices at recursion "
+                f"limit {sys.getrecursionlimit()}, got {n}"
+            )
         self.n = n
         self.order = left_to_right_order(D)
         posmap = {v: i for i, v in enumerate(self.order)}
         arcs = {(posmap[u], posmap[v]) for u, v in D.arcs}
         self.in_prev = [tuple(q for q in range(i) if (q, i) in arcs) for i in range(n)]
-        out_next = [tuple(j for j in range(i + 1, n) if (i, j) in arcs) for i in range(n)]
+        self.out_next = [tuple(j for j in range(i + 1, n) if (i, j) in arcs) for i in range(n)]
         adj = [0] * n
         for i, j in arcs:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        self.adj = adj
-        anc = [0] * n
+        self.later_nonadj = [
+            tuple(j for j in range(i + 1, n) if not (adj[i] >> j) & 1) for i in range(n)
+        ]
         gamma = [0] * n
         for i in range(n):
-            m = 0
-            g = 0
-            for q in self.in_prev[i]:
-                m |= anc[q] | (1 << q)
-                g = max(g, gamma[q] + 1)
-            anc[i] = m
-            gamma[i] = g
-        self.anc = anc
+            gamma[i] = max((gamma[q] + 1 for q in self.in_prev[i]), default=0)
         self.gamma = gamma
         h_out = [0] * n
         for i in range(n - 1, -1, -1):
-            h_out[i] = max((h_out[j] + 1 for j in out_next[i]), default=0)
+            h_out[i] = max((h_out[j] + 1 for j in self.out_next[i]), default=0)
         self.h_out = h_out
         # the clique prune is optional for correctness; skip the
         # enumeration where the complement graph could blow it up
-        self.cliques = _maximal_nonadjacent_cliques(n, adj) if n <= 24 else []
+        cliques = _maximal_nonadjacent_cliques(n, adj) if n <= 24 else []
+        through: list[list[int]] = [[] for _ in range(n)]
+        for c, clique in enumerate(cliques):
+            for i in range(n):
+                if (clique >> i) & 1:
+                    through[i].append(c)
+        self.through = [tuple(t) for t in through]
+        self.n_cliques = len(cliques)
         self.nodes = 0
         self.max_nodes = max_nodes
+        self.size_functions = 0
+        self.levels: list[LevelStats] = []
         # per-run state
         self.k = 0
         self.sizes = [0] * n
+        # per clique: bitmask of the distinct sizes given so far, and k minus
+        # their sum
+        self.held = [0] * self.n_cliques
+        self.slack = [0] * self.n_cliques
         self.phi = [0] * n
         self.used = 0
+        # per vertex: later non-adjacent vertices of another size, and the
+        # colors of assigned vertices it must stay disjoint from
+        self.conflicts: list[tuple[int, ...]] = [()] * n
+        self.forb = [0] * n
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -148,67 +193,97 @@ class _Search:
 
     def run(self, k: int) -> list[int] | None:
         """Color masks (position-indexed) for palette [0, k), or None."""
-        self.k = k
-        if any(self.gamma[i] + 1 > k - self.h_out[i] for i in range(self.n)):
+        nodes, size_functions, start = self.nodes, self.size_functions, time.perf_counter()
+        try:
+            self.k = k
+            self.held = [0] * self.n_cliques
+            self.slack = [k] * self.n_cliques
+            if any(self.gamma[i] + 1 > k - self.h_out[i] for i in range(self.n)):
+                return None
+            if self._sizes_dfs(0):
+                return list(self.phi)
             return None
-        if self._sizes_dfs(0):
-            return list(self.phi)
-        return None
+        finally:
+            self.levels.append(LevelStats(
+                k, self.nodes - nodes, self.size_functions - size_functions,
+                time.perf_counter() - start,
+            ))
 
     def _sizes_dfs(self, p: int) -> bool:
         self._tick()
-        n, k, sizes = self.n, self.k, self.sizes
-        if p == n:
-            for clique in self.cliques:
-                distinct = set()
-                m = clique
-                while m:
-                    low = m & -m
-                    distinct.add(sizes[low.bit_length() - 1])
-                    m &= ~low
-                if sum(distinct) > k:
-                    return False
-            self.used = 0
-            return self._assign_dfs(0)
+        sizes = self.sizes
+        if p == self.n:
+            self.size_functions += 1
+            return self._start_assignment()
+        # sizes increase along arcs, so the in-neighbors already exceed
+        # every other ancestor
         lo = self.gamma[p] + 1
-        m = self.anc[p]
-        while m:
-            low = m & -m
-            q = low.bit_length() - 1
+        for q in self.in_prev[p]:
             if sizes[q] >= lo:
                 lo = sizes[q] + 1
-            m &= ~low
-        hi = k - self.h_out[p]
-        for value in range(lo, hi + 1):
+        hi = self.k - self.h_out[p]
+        # a size new to a clique through p must fit in the clique's slack;
+        # above the smallest slack, only sizes that every clique too tight
+        # for them already holds can pass
+        through, held, slack = self.through[p], self.held, self.slack
+        cap = hi
+        for c in through:
+            if slack[c] < cap:
+                cap = slack[c]
+        values = list(range(lo, cap + 1))
+        if cap < hi:
+            above = ((1 << (hi + 1)) - 1) & ~((1 << max(lo, cap + 1)) - 1)
+            for c in through:
+                above &= held[c] | ((1 << (slack[c] + 1)) - 1)
+            while above:
+                low = above & -above
+                values.append(low.bit_length() - 1)
+                above &= ~low
+        for value in values:
             sizes[p] = value
+            bit = 1 << value
+            added = [c for c in through if not held[c] & bit]
+            for c in added:
+                held[c] |= bit
+                slack[c] -= value
             if self._sizes_dfs(p + 1):
                 return True
+            for c in added:
+                held[c] ^= bit
+                slack[c] += value
         sizes[p] = 0
         return False
 
-    def _forbidden(self, w: int, upto: int) -> int:
-        """Colors of assigned vertices that must stay disjoint from w."""
-        adj_w = self.adj[w]
-        s_w = self.sizes[w]
-        forb = 0
-        for q in range(upto):
-            if not (adj_w >> q) & 1 and self.sizes[q] != s_w:
-                forb |= self.phi[q]
-        return forb
+    def _start_assignment(self) -> bool:
+        sizes = self.sizes
+        self.conflicts = [
+            tuple(w for w in later if sizes[w] != sizes[p])
+            for p, later in enumerate(self.later_nonadj)
+        ]
+        self.forb = [0] * self.n
+        self.used = 0
+        return self._assign_dfs(0)
 
     def _future_ok(self, p: int) -> bool:
         # every unassigned vertex must still be able to reach its size and
-        # to intersect each already-assigned in-neighbor
-        k = self.k
-        spare = k - self.used
-        old = (1 << self.used) - 1
-        for w in range(p + 1, self.n):
-            forb = self._forbidden(w, p + 1)
-            if self.sizes[w] > (old & ~forb).bit_count() + spare:
+        # to intersect each already-assigned in-neighbor.  All forbidden
+        # colors are old colors, so the size test reads s(w) + |forb(w)| <= k.
+        # Both tests held before p was assigned, so only the vertices whose
+        # forbidden mask just grew and p's later out-neighbors can fail.
+        k, sizes, forb, phi = self.k, self.sizes, self.forb, self.phi
+        for w in self.conflicts[p]:
+            f = forb[w]
+            if sizes[w] + f.bit_count() > k:
                 return False
             for q in self.in_prev[w]:
-                if q <= p and not (self.phi[q] & ~forb):
+                if q > p:
+                    break
+                if not (phi[q] & ~f):
                     return False
+        mask = phi[p]
+        for w in self.out_next[p]:
+            if not (mask & ~forb[w]):
+                return False
         return True
 
     def _assign_dfs(self, p: int) -> bool:
@@ -217,7 +292,8 @@ class _Search:
             return True
         k = self.k
         s_p = self.sizes[p]
-        allowed = ((1 << self.used) - 1) & ~self._forbidden(p, p)
+        forb = self.forb
+        allowed = ((1 << self.used) - 1) & ~forb[p]
         need = []
         for q in self.in_prev[p]:
             m = self.phi[q] & allowed
@@ -230,6 +306,8 @@ class _Search:
             low = m & -m
             abits.append(low)
             m &= ~low
+        conflicts = self.conflicts[p]
+        saved_forb = [forb[w] for w in conflicts]
         saved_used = self.used
         t_min = max(0, s_p - len(abits))
         t_max = min(s_p, k - saved_used)
@@ -250,8 +328,12 @@ class _Search:
                     continue
                 self.phi[p] = mask
                 self.used = saved_used + t
+                for w in conflicts:
+                    forb[w] |= mask
                 if self._future_ok(p) and self._assign_dfs(p + 1):
                     return True
+                for w, f in zip(conflicts, saved_forb):
+                    forb[w] = f
         self.phi[p] = 0
         self.used = saved_used
         return False
@@ -269,12 +351,26 @@ class _Search:
         return Representation.from_mapping(self.n, mapping)
 
 
+def _constructor_upper(D: Digraph) -> int:
+    """Smaller palette of the two polynomial constructions."""
+    if D.n < 2:
+        return 1
+    return min(
+        pairing_construction(D).palette_size,
+        inductive_construction(D).palette_size,
+    )
+
+
 def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
     """Exact minimum palette size, with a verified witness.
 
     Cyclic inputs are reported infeasible immediately.  Otherwise the
     deepening loop proves every k below the answer infeasible, so an
     ``optimal`` result is a completeness certificate as well as a witness.
+    When the budget runs out, ``best_upper`` carries the smaller
+    constructor palette.  ``levels`` records the work at each k tried.
+    Raises ``SearchDepthError`` for graphs too large for the recursive
+    search.
     """
     budget = budget or DEFAULT_BUDGET
     start = time.perf_counter()
@@ -287,12 +383,14 @@ def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
             if masks is not None:
                 witness = canonicalize(search.masks_to_representation(masks))
                 return SolveResult(
-                    OPTIMAL, k, witness, search.nodes, time.perf_counter() - start
+                    OPTIMAL, k, witness, search.nodes, time.perf_counter() - start,
+                    levels=tuple(search.levels),
                 )
     except _OutOfNodes:
         pass
     return SolveResult(
-        BUDGET_EXHAUSTED, None, None, search.nodes, time.perf_counter() - start
+        BUDGET_EXHAUSTED, None, None, search.nodes, time.perf_counter() - start,
+        best_upper=_constructor_upper(D), levels=tuple(search.levels),
     )
 
 

@@ -157,7 +157,24 @@ class TestDin:
         g.write_text(to_edge_list(gen_family("source_arc_path", 6)))
         code, stdout, _ = run(capsys, "din", str(g), "--budget-nodes", "40")
         assert code == 4
-        assert "UNKNOWN (budget)" in stdout
+        assert "UNKNOWN (budget), best upper bound 19" in stdout
+
+    def test_budget_exhausted_json_best_upper(self, capsys, tmp_path):
+        g = tmp_path / "sap8.g"
+        g.write_text(to_edge_list(gen_family("source_arc_path", 8)))
+        code, stdout, _ = run(capsys, "din", str(g), "--json", "--budget-nodes", "100")
+        assert code == 4
+        obj = json.loads(stdout)
+        assert obj["status"] == "budget_exhausted" and obj["best_upper"] == 35
+        assert sum(level["nodes"] for level in obj["levels"]) == obj["nodes_explored"]
+
+    def test_too_many_vertices_exit_2(self, capsys, tmp_path):
+        g = tmp_path / "empty1200.g"
+        g.write_text("1200\n")
+        code, stdout, err = run(capsys, "din", str(g))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: exact search handles at most")
 
     def test_json_with_witness(self, capsys, tmp_path):
         g = tmp_path / "p3.g"
@@ -167,6 +184,8 @@ class TestDin:
         assert code == 0
         obj = json.loads(stdout)
         assert obj["status"] == "optimal" and obj["din"] == 4
+        assert [level["k"] for level in obj["levels"]] == [1, 2, 3, 4]
+        assert set(obj["levels"][0]) == {"k", "nodes", "size_functions", "seconds"}
         assert json.loads(w.read_text())["n"] == 3
 
     def test_stdin(self, capsys, monkeypatch):

@@ -1,0 +1,37 @@
+"""Frozen exact DIN of every forward DAG on 5 vertices.
+
+``frozen_din_n5.json`` was produced by the solver before the size phase
+learned to prune partial size functions.  Every later solver change must
+reproduce its DIN values and its witnesses exactly.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from dinrep import OPTIMAL, exact_din, extremal_din, rep_to_json
+from corpus import all_forward_digraphs
+
+FROZEN = json.loads((Path(__file__).parent / "frozen_din_n5.json").read_text())
+
+
+def test_every_forward_dag_on_five_vertices():
+    n = FROZEN["n"]
+    digest = hashlib.sha256()
+    dins = []
+    for D in all_forward_digraphs(n):
+        result = exact_din(D)
+        assert result.status == OPTIMAL, sorted(D.arcs)
+        dins.append(format(result.din, "x"))
+        digest.update(rep_to_json(result.witness).encode())
+    assert "".join(dins) == FROZEN["din"]
+    assert digest.hexdigest() == FROZEN["witness_sha256"]
+
+
+def test_extremal_five():
+    best, witnesses = extremal_din(5)
+    assert best == 12 == max(int(d, 16) for d in FROZEN["din"])
+    assert [sorted(w.arcs) for w in witnesses] == [
+        [(1, 2), (1, 4), (2, 3), (3, 4), (4, 5)],
+        [(1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)],
+    ]

@@ -11,17 +11,22 @@ from dinrep import (
     CyclicGraphError,
     Digraph,
     Representation,
+    SearchDepthError,
     SolveBudget,
+    directed_path_din,
     exact_din,
     extremal_din,
     feasible_with_palette,
     gen_family,
     induced_subgraph,
+    inductive_construction,
     longest_path_levels,
+    pairing_construction,
     restrict,
     verify,
 )
-from corpus import connected_dag_corpus, independent_validity
+from dinrep import solver
+from corpus import all_forward_digraphs, connected_dag_corpus, independent_validity
 
 TRIANGLE = Digraph(3, {(1, 2), (2, 3), (3, 1)})
 
@@ -108,6 +113,32 @@ class TestExactDin:
         result = exact_din(gen_family("directed_path", 4), SolveBudget(max_palette=3))
         assert result.status == BUDGET_EXHAUSTED
 
+    def test_best_upper_on_budget_exhaustion(self):
+        D = gen_family("source_arc_path", 8)
+        result = exact_din(D, SolveBudget(max_nodes=100))
+        assert result.status == BUDGET_EXHAUSTED
+        assert result.best_upper == min(
+            pairing_construction(D).palette_size,
+            inductive_construction(D).palette_size,
+        )
+        assert sum(level.nodes for level in result.levels) == result.nodes_explored
+
+    def test_best_upper_unset_when_solved(self):
+        assert exact_din(gen_family("source_arc_path", 6)).best_upper is None
+
+    def test_level_stats(self):
+        result = exact_din(gen_family("source_arc_path", 6))
+        assert [level.k for level in result.levels] == list(range(1, result.din + 1))
+        assert sum(level.nodes for level in result.levels) == result.nodes_explored
+        assert result.levels[-1].size_functions >= 1
+        assert all(level.seconds >= 0 for level in result.levels)
+
+    def test_too_deep_for_the_search(self):
+        limit = solver.max_search_vertices()
+        assert exact_din(Digraph(limit)).din == 1
+        with pytest.raises(SearchDepthError):
+            exact_din(Digraph(limit + 1))
+
 
 class TestFeasibleWithPalette:
     def test_single_arc_brackets(self):
@@ -193,3 +224,34 @@ class TestExtremal:
         par = extremal_din(3, workers=2)
         assert seq[0] == par[0]
         assert [w.arcs for w in seq[1]] == [w.arcs for w in par[1]]
+
+
+class TestCliquePrune:
+    """The clique-sum prune only cuts size functions that cannot succeed."""
+
+    @staticmethod
+    def _without_prune(monkeypatch, D):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_maximal_nonadjacent_cliques", lambda n, adj: [])
+            return exact_din(D)
+
+    def _check_same(self, monkeypatch, D):
+        pruned = exact_din(D)
+        plain = self._without_prune(monkeypatch, D)
+        assert pruned.status == plain.status == OPTIMAL, sorted(D.arcs)
+        assert pruned.din == plain.din, sorted(D.arcs)
+        assert pruned.witness == plain.witness, sorted(D.arcs)
+        assert pruned.nodes_explored <= plain.nodes_explored, sorted(D.arcs)
+
+    def test_every_forward_dag_on_four_vertices(self, monkeypatch):
+        for D in all_forward_digraphs(4):
+            self._check_same(monkeypatch, D)
+
+    @pytest.mark.parametrize("family,n", [("directed_path", 8), ("source_arc_path", 6)])
+    def test_families(self, monkeypatch, family, n):
+        self._check_same(monkeypatch, gen_family(family, n))
+
+    def test_directed_path_nine_certifies(self):
+        result = exact_din(gen_family("directed_path", 9), SolveBudget(max_nodes=1_000_000))
+        assert result.status == OPTIMAL
+        assert result.din == directed_path_din(9)
