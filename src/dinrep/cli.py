@@ -34,7 +34,7 @@ from .digraph import (
     to_edge_list,
 )
 from .errors import BudgetExhaustedError, CyclicGraphError
-from .representation import rep_from_json, rep_to_json, verify
+from .representation import Representation, rep_from_json, rep_to_json, verify
 from .solver import SolveBudget, exact_din, extremal_din
 
 EXIT_OK = 0
@@ -72,43 +72,42 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _applicable_bound(D: Digraph, method: str) -> int:
-    # odd n runs through dummy padding, so only the padded-size bound is
-    # certified
-    n = D.n if D.n % 2 == 0 else D.n + 1
+def _construct(D: Digraph, method: str) -> tuple[Representation, int]:
+    """The representation ``method`` builds for D, and the bound it certifies.
+
+    The closed form needs an exact arc-set match with one of the two
+    Hamiltonian families and certifies the family's exact value; a mismatch
+    raises ``ValueError``.  The general constructions run odd n through
+    dummy padding, so only the bound at the padded size is certified.
+    """
+    n = D.n
+    if method == "closed-form":
+        for family, build, value in (
+            ("source_arc_path", source_arc_path_representation, bounds_mod.source_arc_path_din),
+            ("augmented_source_arc_path", augmented_representation, bounds_mod.augmented_din),
+        ):
+            try:
+                if D.arcs == gen_family(family, n).arcs:
+                    return build(n), value(n)
+            except ValueError:  # n outside the family's or the closed form's domain
+                pass
+        raise ValueError(
+            "closed-form method requires an exact source-arc-path or augmented family match"
+        )
+    padded = n + n % 2
     if method == "pairing":
-        return bounds_mod.lemma_upper_bound(n)
-    if method == "inductive":
-        return bounds_mod.general_upper_bound(n)
-    # closed-form: exact family values
-    if D.arcs == gen_family("source_arc_path", n).arcs:
-        return bounds_mod.source_arc_path_din(n)
-    return bounds_mod.augmented_din(n)
+        return pairing_construction(D), bounds_mod.lemma_upper_bound(padded)
+    return inductive_construction(D), bounds_mod.general_upper_bound(padded)
 
 
 def _cmd_construct(args) -> int:
     D = load_graph(_read(args.graph))
-    method = args.method
-    if method == "pairing":
-        rep = pairing_construction(D)
-    elif method == "inductive":
-        rep = inductive_construction(D)
-    else:  # closed-form, only for an exact family arc-set match
-        n = D.n
-        if n % 2 == 0 and n >= 4 and D.arcs == gen_family("source_arc_path", n).arcs:
-            rep = source_arc_path_representation(n)
-        elif n % 2 == 0 and n >= 8 and D.arcs == gen_family("augmented_source_arc_path", n).arcs:
-            rep = augmented_representation(n)
-        else:
-            print("closed-form method requires an exact source-arc-path or "
-                  "augmented family match", file=sys.stderr)
-            return EXIT_USAGE
-    out = args.out
-    if out is not None:
-        _write(out, rep_to_json(rep))
-    print(f"method = {method}")
+    rep, bound = _construct(D, args.method)
+    if args.out is not None:
+        _write(args.out, rep_to_json(rep))
+    print(f"method = {args.method}")
     print(f"palette_size = {rep.palette_size}")
-    print(f"bound = {_applicable_bound(D, method)}")
+    print(f"bound = {bound}")
     return EXIT_OK
 
 
@@ -185,37 +184,32 @@ def _cmd_extremal(args) -> int:
     return EXIT_OK
 
 
-_FORMULAS = ("general", "lemma", "directed-path", "source-arc-path", "augmented", "p-intersection")
+# the formulas of n alone, in listing order; each raises ValueError outside
+# its domain
+_FORMULAS = {
+    "general": bounds_mod.general_upper_bound,
+    "lemma": bounds_mod.lemma_upper_bound,
+    "directed-path": bounds_mod.directed_path_din,
+    "source-arc-path": bounds_mod.source_arc_path_din,
+    "augmented": bounds_mod.augmented_din,
+}
 
 
 def _cmd_bound(args) -> int:
     n = args.n
-    if args.formula is not None:
-        name = args.formula
-        if name == "general":
-            value = bounds_mod.general_upper_bound(n)
-        elif name == "lemma":
-            value = bounds_mod.lemma_upper_bound(n)
-        elif name == "directed-path":
-            value = bounds_mod.directed_path_din(n)
-        elif name == "source-arc-path":
-            value = bounds_mod.source_arc_path_din(n)
-        elif name == "augmented":
-            value = bounds_mod.augmented_din(n)
-        else:  # p-intersection: n is read as the base din value
-            value = bounds_mod.p_intersection_upper_bound(n, args.p)
-        print(f"{name} {value}")
-        return EXIT_OK
-    if n < 2:
-        raise ValueError(f"no formula applies to n = {n}")
-    rows = [("general", bounds_mod.general_upper_bound(n))]
-    if n % 2 == 0:
-        rows.append(("lemma", bounds_mod.lemma_upper_bound(n)))
-    rows.append(("directed-path", bounds_mod.directed_path_din(n)))
-    if n >= 4:
-        rows.append(("source-arc-path", bounds_mod.source_arc_path_din(n)))
-    if n >= 8 and n % 2 == 0:
-        rows.append(("augmented", bounds_mod.augmented_din(n)))
+    if args.formula == "p-intersection":  # n is read as the base din value
+        rows = [(args.formula, bounds_mod.p_intersection_upper_bound(n, args.p))]
+    elif args.formula is not None:
+        rows = [(args.formula, _FORMULAS[args.formula](n))]
+    else:
+        rows = []
+        for name, formula in _FORMULAS.items():
+            try:
+                rows.append((name, formula(n)))
+            except ValueError:
+                pass
+        if not rows:
+            raise ValueError(f"no formula applies to n = {n}")
     for name, value in rows:
         print(f"{name} {value}")
     return EXIT_OK
@@ -254,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-palette", type=int, default=64)
     p.add_argument("--json", action="store_true")
     p.add_argument("-w", "--witness", default=None, help="write the witness JSON here")
-    p.add_argument("--threads", type=int, default=1, help="accepted for symmetry; the single-instance search is sequential")
     p.set_defaults(func=_cmd_din)
 
     p = sub.add_parser("extremal", help="max DIN over all DAGs on n vertices")
@@ -268,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate the closed-form formulas")
     p.add_argument("n", type=int)
-    p.add_argument("--formula", choices=_FORMULAS, default=None)
+    p.add_argument("--formula", choices=(*_FORMULAS, "p-intersection"), default=None)
     p.add_argument("--p", type=int, default=1, help="p for the p-intersection formula")
     p.set_defaults(func=_cmd_bound)
 

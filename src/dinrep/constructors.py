@@ -16,7 +16,7 @@ Two general-purpose constructions work for every DAG:
 
 Both handle odd n by padding with one isolated dummy vertex and dropping it
 afterwards; the even-n palette bound is then only guaranteed at the padded
-size (a warning is logged when the floored even formula is exceeded).
+size.
 
 The closed forms ``source_arc_path_representation`` and
 ``augmented_representation`` realize the exact minimum palettes of the two
@@ -25,14 +25,12 @@ Hamiltonian families, floor(n^2/2) and floor(n^2/2) + m.
 
 from __future__ import annotations
 
-import logging
+from itertools import count, islice
 
-from .bounds import augmented_din, general_upper_bound, source_arc_path_din
-from .digraph import Digraph, augmented_added_arcs, is_acyclic, left_to_right_order
+from .bounds import augmented_din, source_arc_path_din
+from .digraph import Arc, Digraph, augmented_added_arcs, is_acyclic, left_to_right_order
 from .errors import CyclicGraphError
 from .representation import Representation, restrict
-
-log = logging.getLogger(__name__)
 
 
 def _require_small_dag(D: Digraph) -> None:
@@ -48,14 +46,11 @@ def _with_dummy(D: Digraph) -> Digraph:
     return Digraph(D.n + 1, D.arcs)
 
 
-def _drop_dummy(rep: Representation, n: int, floored_bound: int, name: str) -> Representation:
-    out = restrict(rep, range(1, n + 1))
-    if out.palette_size > floored_bound:
-        log.warning(
-            "%s on odd n=%d used %d colors, above the floored even-n formula %d",
-            name, n, out.palette_size, floored_bound,
-        )
-    return out
+def _positions(D: Digraph) -> tuple[tuple[int, ...], set[Arc], count]:
+    """Left-to-right order, arcs between its 1-based positions, fresh color ids from 0."""
+    order = left_to_right_order(D)
+    pos = {v: i for i, v in enumerate(order, start=1)}
+    return order, {(pos[u], pos[v]) for u, v in D.arcs}, count()
 
 
 def initial_block_sizes(n: int) -> list[int]:
@@ -74,23 +69,13 @@ def pairing_construction(D: Digraph) -> Representation:
     """Valid representation via pair blocking; palette <= 5n^2/8 - n/4 (even n)."""
     _require_small_dag(D)
     if D.n % 2:
-        padded = pairing_construction(_with_dummy(D))
-        return _drop_dummy(padded, D.n, (5 * D.n * D.n - 2 * D.n) // 8, "pairing_construction")
+        return restrict(pairing_construction(_with_dummy(D)), range(1, D.n + 1))
 
     n, half = D.n, D.n // 2
-    order = left_to_right_order(D)
-    pos = {v: i + 1 for i, v in enumerate(order)}
-    arcs = {(pos[u], pos[v]) for u, v in D.arcs}
-
-    counter = 0
-
-    def take(count: int) -> list[int]:
-        nonlocal counter
-        block = list(range(counter, counter + count))
-        counter += count
-        return block
-
-    initial = {i: take(size) for i, size in enumerate(initial_block_sizes(n), start=1)}
+    order, arcs, colors = _positions(D)
+    initial = {
+        i: list(islice(colors, size)) for i, size in enumerate(initial_block_sizes(n), start=1)
+    }
     phi: dict[int, set[int]] = {i: set(initial[i]) for i in range(1, n + 1)}
 
     # one private donor color per arc-carrying later pair; a vertex in pair
@@ -121,7 +106,7 @@ def pairing_construction(D: Digraph) -> Representation:
         need_o = target_o - len(phi[o])
         need_e = target_e - len(phi[e])
         assert need_o >= 1 and need_e >= 1, "padding slack is always positive"
-        pool = take(max(need_o, need_e))
+        pool = list(islice(colors, max(need_o, need_e)))
         phi[o].update(pool[:need_o])
         phi[e].update(pool[:need_e])
 
@@ -198,22 +183,10 @@ def inductive_construction(D: Digraph) -> Representation:
     """
     _require_small_dag(D)
     if D.n % 2:
-        padded = inductive_construction(_with_dummy(D))
-        return _drop_dummy(padded, D.n, general_upper_bound(D.n), "inductive_construction")
+        return restrict(inductive_construction(_with_dummy(D)), range(1, D.n + 1))
 
     n = D.n
-    order = left_to_right_order(D)
-    pos = {v: i + 1 for i, v in enumerate(order)}
-    arcs = {(pos[u], pos[v]) for u, v in D.arcs}
-
-    counter = 0
-
-    def take(count: int) -> list[int]:
-        nonlocal counter
-        block = list(range(counter, counter + count))
-        counter += count
-        return block
-
+    order, arcs, colors = _positions(D)
     phi: dict[int, set[int]] = {}
     # peel pairs from the back so the deepest sub-problem mints colors first
     for lo in range(n - 1, 0, -2):
@@ -221,14 +194,14 @@ def inductive_construction(D: Digraph) -> Representation:
         v1, v2 = lo, lo + 1
         pair_arc = (v1, v2) in arcs
 
-        alpha = take(half - 1)
-        beta = take(half - 1)
-        bridge = take(1)[0]
+        alpha = list(islice(colors, half - 1))
+        beta = list(islice(colors, half - 1))
+        bridge = next(colors)
         phi[v1] = set(alpha) | {bridge}
         phi[v2] = set(beta) | {bridge}
         bump = None
         if pair_arc:
-            bump = take(1)[0]
+            bump = next(colors)
             phi[v2].add(bump)
 
         if half < 2:
@@ -261,7 +234,7 @@ def inductive_construction(D: Digraph) -> Representation:
             e = o + 1
             need_o = delta - gains[o]
             need_e = delta - gains[e]
-            pool = take(max(need_o, need_e))
+            pool = list(islice(colors, max(need_o, need_e)))
             phi[o].update(pool[:need_o])
             phi[e].update(pool[:need_e])
             if pair == 2:

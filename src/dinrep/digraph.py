@@ -18,6 +18,11 @@ from .errors import CyclicGraphError, GraphParseError, SelfLoopError, VertexRang
 Arc = tuple[int, int]
 
 
+def is_int(x: object) -> bool:
+    """True for an integer that is not a bool (JSON true would read as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Immutable directed graph on vertices 1..n with an explicit arc set."""
@@ -26,7 +31,7 @@ class Digraph:
     arcs: frozenset[Arc]
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         normalized = frozenset((int(t), int(h)) for t, h in arcs)
         for t, h in normalized:
@@ -40,9 +45,6 @@ class Digraph:
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
 
     @cached_property
     def out_map(self) -> dict[int, frozenset[int]]:
@@ -200,11 +202,17 @@ def graph_from_json(text: str) -> Digraph:
     """Parse the JSON graph form {"n": int, "arcs": [[t, h], ...]}."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphParseError(f"invalid JSON graph: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
         raise GraphParseError("JSON graph must be an object with 'n' and 'arcs'")
-    return Digraph(obj["n"], [tuple(a) for a in obj["arcs"]])
+    arcs = obj["arcs"]
+    if not isinstance(arcs, list):
+        raise GraphParseError(f"JSON graph 'arcs' must be a list, got {arcs!r}")
+    for arc in arcs:
+        if not (isinstance(arc, list) and len(arc) == 2 and all(map(is_int, arc))):
+            raise GraphParseError(f"JSON graph arc {arc!r} is not a [tail, head] pair of integers")
+    return Digraph(obj["n"], [tuple(a) for a in arcs])
 
 
 def graph_to_json(D: Digraph) -> str:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .digraph import Digraph
+from .digraph import Digraph, is_int
 
 MISSING_INTERSECTION = "missing-intersection"
 SIZE_NOT_INCREASING = "size-not-increasing"
@@ -48,7 +48,7 @@ class Representation:
 
     def __init__(self, n: int, color_sets: Iterable[Iterable[int]]):
         sets = tuple(frozenset(int(c) for c in s) for s in color_sets)
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         if len(sets) != n:
             raise ValueError(f"expected {n} color sets, got {len(sets)}")
@@ -81,11 +81,6 @@ class Representation:
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}: {sorted(self.color_set(v))}" for v in range(1, self.n + 1))
         return f"Representation(n={self.n}, {{{inner}}})"
-
-
-def palette_size(rep: Representation) -> int:
-    """Cardinality of the union of all color sets."""
-    return rep.palette_size
 
 
 def verify(D: Digraph, rep: Representation) -> ValidityReport:
@@ -154,17 +149,26 @@ def rep_to_json(rep: Representation) -> str:
 
 
 def rep_from_json(text: str) -> Representation:
-    """Parse the JSON form; the stored palette_size is advisory and ignored."""
+    """Parse the JSON form; the stored palette_size is advisory and ignored.
+
+    ``phi`` must map exactly the labels "1".."n" to lists of integers.
+    """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid representation JSON: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "phi" not in obj:
         raise ValueError("representation JSON must be an object with 'n' and 'phi'")
-    n = obj["n"]
-    phi = obj["phi"]
-    try:
-        mapping = {int(v): colors for v, colors in phi.items()}
-    except (TypeError, ValueError):
-        raise ValueError("representation JSON 'phi' keys must be vertex labels") from None
-    return Representation.from_mapping(n, mapping)
+    n, phi = obj["n"], obj["phi"]
+    if not is_int(n) or n < 1:
+        raise ValueError(f"representation JSON 'n' must be a positive integer, got {n!r}")
+    if not isinstance(phi, dict):
+        raise ValueError("representation JSON 'phi' must be an object")
+    # the length test first, so a huge n builds no label set
+    if len(phi) != n or set(phi) != {str(v) for v in range(1, n + 1)}:
+        raise ValueError(f"representation JSON 'phi' keys must be exactly the labels 1..{n}")
+    for v, colors in phi.items():
+        # JSON integers parse as exactly int; true and 1.7 do not pass
+        if not (isinstance(colors, list) and set(map(type, colors)) <= {int}):
+            raise ValueError(f"representation JSON vertex {v}: colors must be a list of integers")
+    return Representation(n, [phi[str(v)] for v in range(1, n + 1)])

@@ -191,8 +191,8 @@ class _Search:
         if self.nodes > self.max_nodes:
             raise _OutOfNodes
 
-    def run(self, k: int) -> list[int] | None:
-        """Color masks (position-indexed) for palette [0, k), or None."""
+    def run(self, k: int) -> Representation | None:
+        """Canonical witness with palette [0, k), or None if there is none."""
         nodes, size_functions, start = self.nodes, self.size_functions, time.perf_counter()
         try:
             self.k = k
@@ -200,14 +200,17 @@ class _Search:
             self.slack = [k] * self.n_cliques
             if any(self.gamma[i] + 1 > k - self.h_out[i] for i in range(self.n)):
                 return None
-            if self._sizes_dfs(0):
-                return list(self.phi)
-            return None
+            if not self._sizes_dfs(0):
+                return None
         finally:
             self.levels.append(LevelStats(
                 k, self.nodes - nodes, self.size_functions - size_functions,
                 time.perf_counter() - start,
             ))
+        return canonicalize(Representation.from_mapping(self.n, {
+            vertex: {c for c in range(k) if (self.phi[p] >> c) & 1}
+            for p, vertex in enumerate(self.order)
+        }))
 
     def _sizes_dfs(self, p: int) -> bool:
         self._tick()
@@ -338,18 +341,6 @@ class _Search:
         self.used = saved_used
         return False
 
-    def masks_to_representation(self, masks: list[int]) -> Representation:
-        mapping = {}
-        for p, vertex in enumerate(self.order):
-            mask = masks[p]
-            colors = set()
-            while mask:
-                low = mask & -mask
-                colors.add(low.bit_length() - 1)
-                mask &= ~low
-            mapping[vertex] = colors
-        return Representation.from_mapping(self.n, mapping)
-
 
 def _constructor_upper(D: Digraph) -> int:
     """Smaller palette of the two polynomial constructions."""
@@ -379,9 +370,8 @@ def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
     search = _Search(D, budget.max_nodes)
     try:
         for k in range(1, budget.max_palette + 1):
-            masks = search.run(k)
-            if masks is not None:
-                witness = canonicalize(search.masks_to_representation(masks))
+            witness = search.run(k)
+            if witness is not None:
                 return SolveResult(
                     OPTIMAL, k, witness, search.nodes, time.perf_counter() - start,
                     levels=tuple(search.levels),
@@ -409,13 +399,10 @@ def feasible_with_palette(
         raise CyclicGraphError("feasibility is defined for acyclic digraphs")
     search = _Search(D, budget.max_nodes)
     try:
-        masks = search.run(k)
+        witness = search.run(k)
     except _OutOfNodes:
         return FeasibilityResult(None, None, search.nodes)
-    if masks is None:
-        return FeasibilityResult(False, None, search.nodes)
-    witness = canonicalize(search.masks_to_representation(masks))
-    return FeasibilityResult(True, witness, search.nodes)
+    return FeasibilityResult(witness is not None, witness, search.nodes)
 
 
 # ---------------------------------------------------------------------------

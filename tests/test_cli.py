@@ -84,9 +84,18 @@ class TestConstruct:
     def test_closed_form_mismatch(self, capsys, tmp_path):
         g = tmp_path / "star5.g"
         g.write_text(to_edge_list(gen_family("star", 5)))
-        code, _, err = run(capsys, "construct", str(g), "--method", "closed-form")
+        code, stdout, err = run(capsys, "construct", str(g), "--method", "closed-form")
         assert code == 2
-        assert "closed-form" in err
+        assert stdout == ""
+        assert err.startswith("error: closed-form method requires")
+
+    def test_odd_n_logs_nothing(self, capsys, tmp_path, caplog):
+        g = tmp_path / "p7.g"
+        g.write_text(to_edge_list(gen_family("directed_path", 7)))
+        for method in ("pairing", "inductive"):
+            code, _, err = run(capsys, "construct", str(g), "--method", method)
+            assert code == 0 and err == ""
+        assert caplog.records == []
 
     def test_cyclic_input(self, capsys, tmp_path):
         g = tmp_path / "tri.g"
@@ -128,6 +137,57 @@ class TestVerifyCmd:
         code, _, err = run(capsys, "verify", str(g), str(r))
         assert code == 2
         assert "empty" in err
+
+
+DEEP = "[" * 100_000
+GOOD_GRAPH = "2\n1 2\n"
+GOOD_REP = '{"n": 2, "phi": {"1": [0], "2": [0, 1]}}'
+
+
+class TestMalformedJson:
+    """Malformed JSON input exits 2 with a one-line message, never 1."""
+
+    @pytest.mark.parametrize("graph", [
+        '{"n": 2, "arcs": 5}',
+        '{"n": 3, "arcs": [[1, 2, 3]]}',
+        '{"n": 2, "arcs": [[1, 2.7]]}',
+        '{"n": 2, "arcs": ["12"]}',
+        '{"n": "2", "arcs": [[1, 2]]}',
+        '{"n": true, "arcs": []}',
+        pytest.param('{"n": 2, "arcs": ' + DEEP, id="deeply-nested"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["verify", "{graph}", "{rep}"],
+        ["din", "{graph}"],
+        ["construct", "{graph}", "--method", "pairing"],
+    ], ids=["verify", "din", "construct"])
+    def test_bad_graph(self, capsys, tmp_path, graph, command):
+        self._expect_usage_error(capsys, tmp_path, graph, GOOD_REP, command)
+
+    @pytest.mark.parametrize("graph,rep", [
+        (GOOD_GRAPH, '{"n": 2, "phi": {"1": [0], "2": "01"}}'),
+        (GOOD_GRAPH, '{"n": 2, "phi": {"1": [0], "2": [0, 1.7]}}'),
+        (GOOD_GRAPH, '{"n": 2, "phi": {"1": [0], "2": [0, true]}}'),
+        (GOOD_GRAPH, '{"n": 2, "phi": {"1": [0], "2": [0, 1], "3": [0, 1, 2]}}'),
+        (GOOD_GRAPH, '{"n": 2, "phi": {"1": [0], "02": [0, 1]}}'),
+        (GOOD_GRAPH, '{"n": 2, "phi": [[0], [0, 1]]}'),
+        (GOOD_GRAPH, '{"n": "2", "phi": {"1": [0], "2": [0, 1]}}'),
+        ("1\n", '{"n": true, "phi": {"1": [0]}}'),
+        pytest.param(GOOD_GRAPH, '{"n": 2, "phi": ' + DEEP, id="deeply-nested"),
+    ])
+    def test_bad_representation(self, capsys, tmp_path, graph, rep):
+        self._expect_usage_error(capsys, tmp_path, graph, rep, ["verify", "{graph}", "{rep}"])
+
+    @staticmethod
+    def _expect_usage_error(capsys, tmp_path, graph, rep, command):
+        g, r = tmp_path / "g", tmp_path / "r.json"
+        g.write_text(graph)
+        r.write_text(rep)
+        argv = [a.format(graph=g, rep=r) for a in command]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDin:

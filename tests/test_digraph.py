@@ -1,5 +1,7 @@
 """Graph core: parsing, orders, levels, subgraphs, and family generators."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,24 @@ class TestParsing:
         D = gen_family("augmented_source_arc_path", 8)
         assert graph_from_json(graph_to_json(D)) == D
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 2, "arcs": 5}', "'arcs' must be a list"),
+        ('{"n": 3, "arcs": [[1, 2, 3]]}', r"arc \[1, 2, 3\] is not a \[tail, head\] pair"),
+        ('{"n": 2, "arcs": [[1, 2.7]]}', "not a .* pair of integers"),
+        ('{"n": 2, "arcs": [[true, 2]]}', "not a .* pair of integers"),
+        ('{"n": 2, "arcs": ["12"]}', "not a .* pair of integers"),
+        ('{"n": ' + "[" * 100_000, "invalid JSON graph"),
+    ], ids=["arcs-not-list", "three-element-arc", "float-endpoint", "bool-endpoint",
+            "string-arc", "deeply-nested"])
+    def test_malformed_json(self, text, message):
+        with pytest.raises(GraphParseError, match=message):
+            graph_from_json(text)
+
+    @pytest.mark.parametrize("n", [True, "2", 2.0])
+    def test_json_vertex_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="vertex count must be a positive integer"):
+            graph_from_json(f'{{"n": {json.dumps(n)}, "arcs": []}}')
+
     def test_load_graph_sniffs_format(self):
         D = gen_family("directed_path", 3)
         assert load_graph(to_edge_list(D)) == D
@@ -94,6 +114,10 @@ class TestDigraphInvariants:
     def test_nonpositive_n(self):
         with pytest.raises(ValueError):
             Digraph(0)
+
+    def test_bool_n(self):
+        with pytest.raises(ValueError):
+            Digraph(True)
 
 
 class TestAcyclicity:

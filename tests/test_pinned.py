@@ -1,0 +1,83 @@
+"""Outputs pinned byte for byte: the constructions and the CLI listings.
+
+The digests below were taken from the code before the constructors, the
+solver's witness decoding and the CLI dispatch were merged into one path
+each.  Colour ids, set contents, printed values and exit codes must all stay
+as they were.
+"""
+
+import hashlib
+
+from dinrep import (
+    augmented_representation,
+    gen_family,
+    inductive_construction,
+    pairing_construction,
+    rep_to_json,
+    source_arc_path_representation,
+    to_edge_list,
+)
+from dinrep.cli import main
+from corpus import all_forward_digraphs, connected_dag_corpus
+
+CONSTRUCTIONS_SHA256 = "5f5baf647b076b288d0e79af2184c005c720f897303cd2046244f035530d1a54"
+BOUND_LISTING_SHA256 = "9889e696d78a79b88c7bafa46e0e722543275c280934e549e87395b18a628796"
+CONSTRUCT_CLI_SHA256 = "00a487f49e35d6a321f7f1283c6fdad4843b82882ccab10bbb23ac0829e1d45f"
+
+FORMULAS = (None, "general", "lemma", "directed-path", "source-arc-path", "augmented", "p-intersection")
+
+
+def _fixed_larger_graphs():
+    graphs = [gen_family(f, n) for f in ("directed_path", "source_arc_path", "complete_dag") for n in (7, 8, 11)]
+    graphs.append(gen_family("augmented_source_arc_path", 12))
+    for n, seed in ((7, 1), (9, 2), (40, 3), (41, 4)):
+        graphs.extend(connected_dag_corpus(n, 3, seed))
+    return graphs
+
+
+def test_constructions():
+    digest = hashlib.sha256()
+    graphs = [D for n in range(2, 6) for D in all_forward_digraphs(n)] + _fixed_larger_graphs()
+    for D in graphs:
+        for build in (pairing_construction, inductive_construction):
+            digest.update(rep_to_json(build(D)).encode())
+    for n in range(4, 15, 2):
+        digest.update(rep_to_json(source_arc_path_representation(n)).encode())
+    for n in range(8, 17, 2):
+        digest.update(rep_to_json(augmented_representation(n)).encode())
+    assert digest.hexdigest() == CONSTRUCTIONS_SHA256
+
+
+def _transcript(capsys, argvs, with_stderr):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{code}\n{captured.out}".encode())
+        if with_stderr:
+            digest.update(captured.err.encode())
+    return digest.hexdigest()
+
+
+def test_bound_listing(capsys):
+    argvs = []
+    for n in range(13):
+        for formula in FORMULAS:
+            argvs.append(["bound", str(n)] + ([] if formula is None else ["--formula", formula]))
+        argvs.append(["bound", str(n), "--formula", "p-intersection", "--p", "3"])
+    assert _transcript(capsys, argvs, with_stderr=True) == BOUND_LISTING_SHA256
+
+
+def test_construct_output(capsys, tmp_path):
+    # stdout and exit codes only: the closed-form mismatch message is the
+    # one line on stderr
+    graphs = [gen_family("star", 2), gen_family("directed_path", 3)] + _fixed_larger_graphs()
+    graphs += [gen_family("source_arc_path", n) for n in (4, 5, 6)]
+    argvs = []
+    for i, D in enumerate(graphs):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(to_edge_list(D))
+        for method in ("pairing", "inductive", "closed-form"):
+            argvs.append(["construct", str(path), "--method", method])
+    transcript = _transcript(capsys, argvs, with_stderr=False)
+    assert transcript == CONSTRUCT_CLI_SHA256

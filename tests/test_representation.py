@@ -16,7 +16,6 @@ from dinrep import (
     canonicalize,
     gen_family,
     induced_subgraph,
-    palette_size,
     rep_from_json,
     rep_to_json,
     restrict,
@@ -123,13 +122,13 @@ class TestHamiltonianConsequence:
 
 class TestPalette:
     def test_two_colors(self):
-        assert palette_size(Representation(2, [{1}, {1, 2}])) == 2
+        assert Representation(2, [{1}, {1, 2}]).palette_size == 2
 
     def test_sap6_closed_form(self):
-        assert palette_size(source_arc_path_representation(6)) == 18
+        assert source_arc_path_representation(6).palette_size == 18
 
     def test_non_contiguous_palette(self):
-        assert palette_size(Representation(2, [{7}, {42}])) == 2
+        assert Representation(2, [{7}, {42}]).palette_size == 2
 
 
 class TestRestrict:
@@ -188,3 +187,25 @@ class TestJson:
             rep_from_json("{not json")
         with pytest.raises(ValueError):
             rep_from_json('{"n": 2}')
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 2, "phi": {"1": [0], "2": "01"}}', "vertex 2: colors must be a list of integers"),
+        ('{"n": 2, "phi": {"1": [0], "2": [0, 1.7]}}', "vertex 2: colors must be a list of integers"),
+        ('{"n": 2, "phi": {"1": [false], "2": [0, 1]}}', "vertex 1: colors must be a list of integers"),
+        ('{"n": 2, "phi": {"1": [0], "2": [0, 1], "3": [2]}}', "keys must be exactly the labels 1..2"),
+        ('{"n": 2, "phi": {"1": [0], " 2": [0, 1]}}', "keys must be exactly the labels 1..2"),
+        ('{"n": 2, "phi": {"1": [0]}}', "keys must be exactly the labels 1..2"),
+        ('{"n": 2, "phi": [[0], [0, 1]]}', "'phi' must be an object"),
+        ('{"n": "2", "phi": {"1": [0], "2": [0, 1]}}', "'n' must be a positive integer"),
+        ('{"n": true, "phi": {"1": [0]}}', "'n' must be a positive integer"),
+        ('{"n": 10000000000000, "phi": {}}', "keys must be exactly the labels"),
+        ('{"n": 2, "phi": ' + "[" * 100_000, "invalid representation JSON"),
+    ], ids=["string-colors", "float-color", "bool-color", "key-above-n", "padded-key",
+            "missing-vertex", "phi-list", "string-n", "bool-n", "huge-n", "deeply-nested"])
+    def test_malformed_json(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            rep_from_json(text)
+
+    def test_bool_vertex_count(self):
+        with pytest.raises(ValueError):
+            Representation(True, [{0}])
