@@ -35,7 +35,14 @@ from .digraph import (
 )
 from .errors import BudgetExhaustedError, CyclicGraphError
 from .representation import Representation, rep_from_json, rep_to_json, verify
-from .solver import SolveBudget, exact_din, extremal_din
+from .solver import (
+    BUDGET_EXHAUSTED,
+    INFEASIBLE,
+    OPTIMAL,
+    SolveBudget,
+    exact_din,
+    extremal_din,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -123,13 +130,12 @@ def _cmd_verify(args) -> int:
     return EXIT_INVALID
 
 
-def _budget_from(args) -> SolveBudget:
-    return SolveBudget(max_nodes=args.budget_nodes, max_palette=args.max_palette)
+_DIN_EXIT = {OPTIMAL: EXIT_OK, INFEASIBLE: EXIT_CYCLIC, BUDGET_EXHAUSTED: EXIT_BUDGET}
 
 
 def _cmd_din(args) -> int:
     D = load_graph(_read(args.graph))
-    result = exact_din(D, _budget_from(args))
+    result = exact_din(D, SolveBudget(max_nodes=args.budget_nodes))
     if args.json:
         obj = {
             "status": result.status,
@@ -142,32 +148,25 @@ def _cmd_din(args) -> int:
         if result.witness is not None:
             obj["witness"] = json.loads(rep_to_json(result.witness))
         print(json.dumps(obj, sort_keys=True))
-    if result.status == "infeasible":
-        if not args.json:
-            print("INFEASIBLE (cyclic)")
-        return EXIT_CYCLIC
-    if result.status == "budget_exhausted":
-        if not args.json:
-            suffix = f", best upper bound {result.best_upper}" if result.best_upper else ""
-            print(f"UNKNOWN (budget){suffix}")
-        return EXIT_BUDGET
+    # the witness goes out after the JSON line and before the text line, so
+    # '-w -' keeps its place on stdout in both modes
+    if result.status == OPTIMAL and args.witness is not None:
+        _write(args.witness, rep_to_json(result.witness))
     if not args.json:
-        if args.witness is not None:
-            _write(args.witness, rep_to_json(result.witness))
+        if result.status == INFEASIBLE:
+            print("INFEASIBLE (cyclic)")
+        elif result.status == BUDGET_EXHAUSTED:
+            print(f"UNKNOWN (budget), best upper bound {result.best_upper}")
+        elif args.witness is not None:
             print(f"DIN = {result.din} (witness: {args.witness})")
         else:
             print(f"DIN = {result.din}")
-    elif args.witness is not None:
-        _write(args.witness, rep_to_json(result.witness))
-    return EXIT_OK
+    return _DIN_EXIT[result.status]
 
 
 def _cmd_extremal(args) -> int:
     best, witnesses = extremal_din(
-        args.n,
-        _budget_from(args),
-        workers=args.threads,
-        allow_n6=args.allow_n6,
+        args.n, SolveBudget(max_nodes=args.budget_nodes), workers=args.threads
     )
     if args.json:
         obj = {
@@ -245,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("din", help="exact minimum palette size")
     p.add_argument("graph")
     p.add_argument("--budget-nodes", type=int, default=100_000_000)
-    p.add_argument("--max-palette", type=int, default=64)
     p.add_argument("--json", action="store_true")
     p.add_argument("-w", "--witness", default=None, help="write the witness JSON here")
     p.set_defaults(func=_cmd_din)
@@ -253,9 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="max DIN over all DAGs on n vertices")
     p.add_argument("n", type=int)
     p.add_argument("--budget-nodes", type=int, default=100_000_000)
-    p.add_argument("--max-palette", type=int, default=64)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--allow-n6", action="store_true", help="permit the 32768-solve n=6 sweep")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_extremal)
 

@@ -9,6 +9,7 @@ it and cyclic inputs raise :class:`CyclicGraphError`.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -151,12 +152,17 @@ def induced_subgraph(D: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict
 # file formats
 
 
+# plain ASCII decimal integers only: int() would also take '1_0', '+1' and
+# non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def from_edge_list(text: str) -> Digraph:
     """Parse the line-oriented graph format.
 
     First meaningful line is n; each following non-empty line is
-    "tail head".  Lines starting with '#' are comments.  Duplicate arcs are
-    silently dropped.
+    "tail head".  Lines starting with '#' are comments.  Numbers are plain
+    ASCII decimal integers.  Duplicate arcs are silently dropped.
     """
     n: int | None = None
     arcs: list[Arc] = []
@@ -168,19 +174,17 @@ def from_edge_list(text: str) -> Digraph:
         if n is None:
             if len(fields) != 1:
                 raise GraphParseError(f"line {lineno}: expected vertex count, got {line!r}")
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: vertex count {fields[0]!r} is not an integer") from None
+            if not _INTEGER.fullmatch(fields[0]):
+                raise GraphParseError(f"line {lineno}: vertex count {fields[0]!r} is not an integer")
+            n = int(fields[0])
             if n < 1:
                 raise GraphParseError(f"line {lineno}: vertex count must be positive, got {n}")
             continue
         if len(fields) != 2:
             raise GraphParseError(f"line {lineno}: expected 'tail head', got {line!r}")
-        try:
-            t, h = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: arc endpoints must be integers, got {line!r}") from None
+        if not all(map(_INTEGER.fullmatch, fields)):
+            raise GraphParseError(f"line {lineno}: arc endpoints must be integers, got {line!r}")
+        t, h = int(fields[0]), int(fields[1])
         if t == h:
             raise SelfLoopError(f"line {lineno}: self-loop on vertex {t}")
         if not (1 <= t <= n and 1 <= h <= n):

@@ -34,7 +34,8 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from functools import partial
+from itertools import combinations, count
 
 from .constructors import inductive_construction, pairing_construction
 from .digraph import Digraph, is_acyclic, left_to_right_order
@@ -52,13 +53,16 @@ _FRAME_RESERVE = 150
 
 @dataclass(frozen=True)
 class SolveBudget:
-    """Caps on the exact search: explored nodes and deepening ceiling."""
+    """Cap on the exact search: explored nodes.
+
+    The deepening needs no palette ceiling: the constructions bound the DIN,
+    so on a DAG running out of nodes is the only way a search stops short.
+    """
 
     max_nodes: int = 100_000_000
-    max_palette: int = 64
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.max_palette < 1:
+        if self.max_nodes < 1:
             raise ValueError("budget fields must be positive")
 
 
@@ -369,7 +373,7 @@ def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
         return SolveResult(INFEASIBLE, None, None, 0, time.perf_counter() - start)
     search = _Search(D, budget.max_nodes)
     try:
-        for k in range(1, budget.max_palette + 1):
+        for k in count(1):
             witness = search.run(k)
             if witness is not None:
                 return SolveResult(
@@ -377,11 +381,10 @@ def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
                     levels=tuple(search.levels),
                 )
     except _OutOfNodes:
-        pass
-    return SolveResult(
-        BUDGET_EXHAUSTED, None, None, search.nodes, time.perf_counter() - start,
-        best_upper=_constructor_upper(D), levels=tuple(search.levels),
-    )
+        return SolveResult(
+            BUDGET_EXHAUSTED, None, None, search.nodes, time.perf_counter() - start,
+            best_upper=_constructor_upper(D), levels=tuple(search.levels),
+        )
 
 
 def feasible_with_palette(
@@ -409,19 +412,15 @@ def feasible_with_palette(
 # exhaustive extremal enumeration at desk scale
 
 
-def _all_forward_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def _graph_for_mask(n: int, pairs: list[tuple[int, int]], mask: int) -> Digraph:
+def _graph_for_mask(n: int, mask: int) -> Digraph:
+    """The DAG on 1..n whose arcs are the forward pairs selected by ``mask``
+    (bit b is pair b of (i, j), i < j, in row order)."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return Digraph(n, {pairs[b] for b in range(len(pairs)) if (mask >> b) & 1})
 
 
-def _solve_mask(args: tuple[int, int, SolveBudget]) -> tuple[int, int | None]:
-    n, mask, budget = args
-    pairs = _all_forward_pairs(n)
-    result = exact_din(_graph_for_mask(n, pairs, mask), budget)
-    return mask, result.din
+def _din(n: int, budget: SolveBudget, mask: int) -> int | None:
+    return exact_din(_graph_for_mask(n, mask), budget).din
 
 
 def extremal_din(
@@ -429,7 +428,6 @@ def extremal_din(
     budget: SolveBudget | None = None,
     *,
     workers: int | None = None,
-    allow_n6: bool = False,
 ) -> tuple[int, list[Digraph]]:
     """Largest exact palette over all DAGs on n vertices, with witnesses.
 
@@ -437,32 +435,23 @@ def extremal_din(
     vertices under some topological labeling, so enumerating the
     2^(n(n-1)/2) labeled subsets covers all of them.  No isomorphism
     reduction is attempted; at this scale correctness beats cleverness.
-    n = 6 (32768 solves) must be opted into explicitly.
+    Witnesses come in arc-mask order, whatever the number of workers.
     """
-    cap = 6 if allow_n6 else 5
-    if not 2 <= n <= cap:
-        raise ValueError(f"extremal enumeration supports 2 <= n <= {cap}, got {n}")
-    budget = budget or DEFAULT_BUDGET
-    pairs = _all_forward_pairs(n)
-    total = 1 << len(pairs)
-    results: dict[int, int | None] = {}
+    if not 2 <= n <= 6:
+        raise ValueError(f"extremal enumeration supports 2 <= n <= 6, got {n}")
+    masks = range(1 << (n * (n - 1) // 2))
+    solve = partial(_din, n, budget or DEFAULT_BUDGET)
     if workers and workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            jobs = ((n, mask, budget) for mask in range(total))
-            for mask, din in pool.imap_unordered(_solve_mask, jobs, chunksize=64):
-                results[mask] = din
+            dins = pool.map(solve, masks, chunksize=64)
     else:
-        for mask in range(total):
-            results[mask] = _solve_mask((n, mask, budget))[1]
-    exhausted = [mask for mask, din in results.items() if din is None]
+        dins = list(map(solve, masks))
+    exhausted = dins.count(None)
     if exhausted:
         raise BudgetExhaustedError(
-            f"budget exhausted on {len(exhausted)} of {total} digraphs (n={n})"
+            f"budget exhausted on {exhausted} of {len(masks)} digraphs (n={n})"
         )
-    best = max(results.values())
-    witnesses = [
-        _graph_for_mask(n, pairs, mask)
-        for mask in range(total)
-        if results[mask] == best
-    ]
-    return best, witnesses
+    best = max(dins)
+    # only the witnesses are rebuilt: keeping every solved graph would hold
+    # its caches, about 3 KB a graph
+    return best, [_graph_for_mask(n, mask) for mask, din in enumerate(dins) if din == best]

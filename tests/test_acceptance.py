@@ -174,7 +174,7 @@ def test_c11_oracle_dominance_and_restriction():
 @pytest.mark.stretch
 def test_stretch_extremal_n6_source_arc_path_is_extremal():
     # 32768 exact solves; run explicitly with: pytest -m stretch
-    best, witnesses = extremal_din(6, allow_n6=True, workers=4)
+    best, witnesses = extremal_din(6, workers=2)
     assert best == 18
     target = gen_family("source_arc_path", 6).arcs
     assert any(w.arcs == target for w in witnesses)

@@ -268,8 +268,10 @@ class TestExtremalCmd:
         obj = json.loads(stdout)
         assert obj["max_din"] == 4
 
-    def test_n6_requires_flag(self, capsys):
-        assert run(capsys, "extremal", "6")[0] == 2
+    def test_n7_out_of_range(self, capsys):
+        code, stdout, stderr = run(capsys, "extremal", "7")
+        assert code == 2 and stdout == ""
+        assert stderr == "error: extremal enumeration supports 2 <= n <= 6, got 7\n"
 
 
 class TestBound:

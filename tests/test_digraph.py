@@ -70,6 +70,33 @@ class TestParsing:
         with pytest.raises(GraphParseError):
             from_edge_list("")
 
+    def test_python_integer_spellings_rejected(self):
+        # int() reads this as n = 10 with the arc (1, 2)
+        with pytest.raises(GraphParseError, match="line 1: vertex count '1_0'"):
+            from_edge_list("1_0\n+1 \u0662\n")
+
+    # spellings that int() accepts
+    @pytest.mark.parametrize("spelling", ["1_0", "+1", "\u0662", "\uff12"],
+                             ids=["underscore", "plus-sign", "arabic-indic-digit",
+                                  "fullwidth-digit"])
+    def test_only_plain_ascii_integers(self, spelling):
+        with pytest.raises(GraphParseError, match="line 1: vertex count"):
+            from_edge_list(f"{spelling}\n")
+        with pytest.raises(GraphParseError, match="line 2: arc endpoints must be integers"):
+            from_edge_list(f"12\n1 {spelling}\n")
+        with pytest.raises(GraphParseError, match="line 3: arc endpoints must be integers"):
+            from_edge_list(f"12\n1 2\n{spelling} 3\n")
+
+    def test_zero_and_negative_keep_their_messages(self):
+        with pytest.raises(GraphParseError, match="line 1: vertex count must be positive, got 0"):
+            from_edge_list("0\n")
+        with pytest.raises(GraphParseError, match="line 1: vertex count must be positive, got -1"):
+            from_edge_list("-1\n")
+        with pytest.raises(VertexRangeError, match=r"line 2: arc \(-1, 2\) outside"):
+            from_edge_list("3\n-1 2\n")
+        with pytest.raises(VertexRangeError, match=r"line 2: arc \(0, 2\) outside"):
+            from_edge_list("3\n0 2\n")
+
     def test_round_trip_text(self):
         D = gen_family("source_arc_path", 6)
         assert from_edge_list(to_edge_list(D)) == D

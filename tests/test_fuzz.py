@@ -98,7 +98,7 @@ def test_construct_and_din_exit_codes(files, graph, method):
     g, _ = files
     g.write_text(graph)
     for argv in (["construct", str(g), "--method", method],
-                 ["din", str(g), "--budget-nodes", "2000", "--max-palette", "30"]):
+                 ["din", str(g), "--budget-nodes", "2000"]):
         code, err = _run(argv)
         assert code in (0, 2, 3, 4)
         if code == 2:

@@ -109,9 +109,23 @@ class TestExactDin:
         assert result.status == BUDGET_EXHAUSTED
         assert result.din is None
 
-    def test_palette_cap_exhaustion(self):
-        result = exact_din(gen_family("directed_path", 4), SolveBudget(max_palette=3))
-        assert result.status == BUDGET_EXHAUSTED
+    def test_budget_stop_is_running_out_of_nodes(self):
+        # the node budget is the only limit, so every stop short of an
+        # answer has spent exactly one node past it
+        graphs = [gen_family("source_arc_path", 6), gen_family("directed_path", 9)]
+        graphs += connected_dag_corpus(6, 4, seed=51) + connected_dag_corpus(7, 4, seed=52)
+        stops = 0
+        for D in graphs:
+            for max_nodes in (1, 7, 100, 2_000):
+                result = exact_din(D, SolveBudget(max_nodes=max_nodes))
+                if result.status != BUDGET_EXHAUSTED:
+                    assert result.status == OPTIMAL and result.nodes_explored <= max_nodes
+                    continue
+                stops += 1
+                assert result.nodes_explored == max_nodes + 1
+                assert result.best_upper is not None
+                assert result.din is None and result.witness is None
+        assert stops >= len(graphs)
 
     def test_best_upper_on_budget_exhaustion(self):
         D = gen_family("source_arc_path", 8)
@@ -216,14 +230,14 @@ class TestExtremal:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             extremal_din(1)
-        with pytest.raises(ValueError):
-            extremal_din(6)  # requires the explicit opt-in flag
+        with pytest.raises(ValueError, match="2 <= n <= 6, got 7"):
+            extremal_din(7)
 
     def test_workers_match_sequential(self):
-        seq = extremal_din(3)
-        par = extremal_din(3, workers=2)
-        assert seq[0] == par[0]
-        assert [w.arcs for w in seq[1]] == [w.arcs for w in par[1]]
+        seq = extremal_din(4)
+        par = extremal_din(4, workers=2)
+        assert seq[0] == par[0] == 8
+        assert seq[1] == par[1]
 
 
 class TestCliquePrune:
