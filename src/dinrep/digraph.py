@@ -61,6 +61,26 @@ class Digraph:
             pred[h].add(t)
         return {v: frozenset(s) for v, s in pred.items()}
 
+    @cached_property
+    def _gamma(self) -> tuple[int, ...] | None:
+        """Longest-path-to-vertex lengths via Kahn's algorithm, None on a cycle."""
+        indeg = {v: 0 for v in self.vertices}
+        for _, h in self.arcs:
+            indeg[h] += 1
+        stack = [v for v in self.vertices if indeg[v] == 0]
+        gamma = [0] * self.n
+        seen = 0
+        while stack:
+            u = stack.pop()
+            seen += 1
+            for w in self.out_map[u]:
+                if gamma[w - 1] < gamma[u - 1] + 1:
+                    gamma[w - 1] = gamma[u - 1] + 1
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    stack.append(w)
+        return tuple(gamma) if seen == self.n else None
+
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
 
@@ -81,35 +101,16 @@ class LevelDecomposition:
         return self.gamma[v - 1]
 
 
-def _gamma_values(D: Digraph) -> list[int]:
-    """Longest-path-to-vertex lengths via Kahn's algorithm; raises on cycles."""
-    indeg = {v: 0 for v in D.vertices}
-    for _, h in D.arcs:
-        indeg[h] += 1
-    stack = [v for v in D.vertices if indeg[v] == 0]
-    gamma = [0] * D.n
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for w in D.out_map[u]:
-            if gamma[w - 1] < gamma[u - 1] + 1:
-                gamma[w - 1] = gamma[u - 1] + 1
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    if seen != D.n:
+def _gamma_values(D: Digraph) -> tuple[int, ...]:
+    """Longest-path-to-vertex lengths, computed once per digraph; raises on cycles."""
+    if D._gamma is None:
         raise CyclicGraphError("digraph contains a directed cycle")
-    return gamma
+    return D._gamma
 
 
 def is_acyclic(D: Digraph) -> bool:
     """True iff D contains no directed cycle."""
-    try:
-        _gamma_values(D)
-    except CyclicGraphError:
-        return False
-    return True
+    return D._gamma is not None
 
 
 def longest_path_levels(D: Digraph) -> LevelDecomposition:
@@ -119,7 +120,7 @@ def longest_path_levels(D: Digraph) -> LevelDecomposition:
     levels = tuple(
         tuple(v for v in D.vertices if gamma[v - 1] == i) for i in range(top + 1)
     )
-    return LevelDecomposition(tuple(gamma), levels)
+    return LevelDecomposition(gamma, levels)
 
 
 def left_to_right_order(D: Digraph) -> tuple[int, ...]:
@@ -166,7 +167,9 @@ def from_edge_list(text: str) -> Digraph:
     """
     n: int | None = None
     arcs: list[Arc] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only \n ends a line: splitlines() would also split at \x0b, \x1c, \u2028
+    # and others; strip() drops the \r of a \r\n file
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

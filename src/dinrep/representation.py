@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Mapping, NamedTuple
 
 from .digraph import Digraph, is_int
@@ -74,8 +76,9 @@ class Representation:
     def palette(self) -> frozenset[int]:
         return frozenset().union(*self.color_sets)
 
-    @property
+    @cached_property
     def palette_size(self) -> int:
+        # the count is kept, not the palette set, which can be large
         return len(self.palette)
 
     def __repr__(self) -> str:
@@ -86,26 +89,50 @@ class Representation:
 def verify(D: Digraph, rep: Representation) -> ValidityReport:
     """Check the defining arc equivalence over all ordered vertex pairs.
 
-    Reports every violation rather than stopping at the first; a pair of
-    non-adjacent vertices with equal-size intersecting sets is fine (only a
-    strict size increase plus an intersection implies an arc).
+    Reports every violation rather than stopping at the first, ordered by
+    (u, v); a pair of non-adjacent vertices with equal-size intersecting
+    sets is fine (only a strict size increase plus an intersection implies
+    an arc).
+
+    Works on n-bit vertex masks, one row u at a time: ``meet`` holds the
+    vertices sharing a color with u (the OR of the holder masks of u's
+    colors), ``up`` those with strictly larger sets, ``out`` u's
+    out-neighbours.  Only the bits of (meet & up) ^ out are violations.
     """
     if rep.n != D.n:
         raise ValueError(f"representation covers {rep.n} vertices, digraph has {D.n}")
+    # bit v - 1 stands for vertex v
+    holders: dict[int, int] = {}
+    by_size: dict[int, int] = {}
+    for i, s in enumerate(rep.color_sets):
+        bit = 1 << i
+        for c in s:
+            holders[c] = holders.get(c, 0) | bit
+        by_size[len(s)] = by_size.get(len(s), 0) | bit
+    above: dict[int, int] = {}
+    larger = 0
+    for size in sorted(by_size, reverse=True):
+        above[size] = larger
+        larger |= by_size[size]
+    out = [0] * (D.n + 1)
+    for t, h in D.arcs:
+        out[t] |= 1 << (h - 1)
     violations: list[Violation] = []
-    for u in D.vertices:
-        su = rep.color_set(u)
-        for v in D.vertices:
-            if u == v:
-                continue
-            sv = rep.color_set(v)
-            if (u, v) in D.arcs:
-                if not (su & sv):
-                    violations.append(Violation(u, v, MISSING_INTERSECTION))
-                if len(su) >= len(sv):
-                    violations.append(Violation(u, v, SIZE_NOT_INCREASING))
-            elif su & sv and len(su) < len(sv):
+    for u, s in enumerate(rep.color_sets, start=1):
+        meet = reduce(or_, map(holders.__getitem__, s))
+        up = above[len(s)]
+        bad = (meet & up) ^ out[u]
+        while bad:
+            low = bad & -bad
+            bad ^= low
+            v = low.bit_length()
+            if not out[u] & low:
                 violations.append(Violation(u, v, FALSE_ARC_IMPLIED))
+                continue
+            if not meet & low:
+                violations.append(Violation(u, v, MISSING_INTERSECTION))
+            if not up & low:
+                violations.append(Violation(u, v, SIZE_NOT_INCREASING))
     return ValidityReport(valid=not violations, violations=tuple(violations))
 
 

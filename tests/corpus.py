@@ -4,25 +4,44 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Iterator
 
-from dinrep import Digraph, Representation
+from dinrep import (
+    FALSE_ARC_IMPLIED,
+    MISSING_INTERSECTION,
+    SIZE_NOT_INCREASING,
+    Digraph,
+    Representation,
+    Violation,
+)
 
 
-def independent_validity(D: Digraph, rep: Representation) -> bool:
-    """Direct evaluation of the defining arc equivalence.
+def reference_violations(D: Digraph, rep: Representation) -> Iterator[Violation]:
+    """Direct evaluation of the defining arc equivalence, pair by pair.
 
     Deliberately re-implemented from the definition, not via dinrep.verify,
-    so the two can be checked against each other.
+    so the two can be checked against each other: every ordered pair
+    (u, v), u != v, in row order, yields the violations ``verify`` must
+    report for it, in the order it must report them.
     """
     for u in range(1, D.n + 1):
+        su = rep.color_set(u)
         for v in range(1, D.n + 1):
             if u == v:
                 continue
-            su, sv = rep.color_set(u), rep.color_set(v)
-            implied = len(su & sv) >= 1 and len(su) < len(sv)
-            if ((u, v) in D.arcs) != implied:
-                return False
-    return True
+            sv = rep.color_set(v)
+            if (u, v) in D.arcs:
+                if not su & sv:
+                    yield Violation(u, v, MISSING_INTERSECTION)
+                if len(su) >= len(sv):
+                    yield Violation(u, v, SIZE_NOT_INCREASING)
+            elif su & sv and len(su) < len(sv):
+                yield Violation(u, v, FALSE_ARC_IMPLIED)
+
+
+def independent_validity(D: Digraph, rep: Representation) -> bool:
+    """True iff the reference finds no violation; stops at the first."""
+    return next(reference_violations(D, rep), None) is None
 
 
 def random_connected_dag(rng: random.Random, n: int) -> Digraph:

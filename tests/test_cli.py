@@ -228,6 +228,14 @@ class TestDin:
         assert obj["status"] == "budget_exhausted" and obj["best_upper"] == 35
         assert sum(level["nodes"] for level in obj["levels"]) == obj["nodes_explored"]
 
+    def test_line_break_inside_a_line_exit_2(self, capsys, tmp_path):
+        g = tmp_path / "vt.g"
+        g.write_text("3\n1 2\x0b2 3\n")
+        code, stdout, err = run(capsys, "din", str(g))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: line 2: expected 'tail head'")
+
     def test_too_many_vertices_exit_2(self, capsys, tmp_path):
         g = tmp_path / "empty1200.g"
         g.write_text("1200\n")

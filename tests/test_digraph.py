@@ -97,6 +97,20 @@ class TestParsing:
         with pytest.raises(VertexRangeError, match=r"line 2: arc \(0, 2\) outside"):
             from_edge_list("3\n0 2\n")
 
+    def test_vertical_tab_does_not_end_a_line(self):
+        # splitlines() would read this as the two arcs (1, 2) and (2, 3)
+        with pytest.raises(GraphParseError, match="line 2: expected 'tail head'"):
+            from_edge_list("3\n1 2\x0b2 3\n")
+
+    def test_file_separator_does_not_end_a_line(self):
+        # splitlines() would read this as n = 2 with the arc (1, 2)
+        with pytest.raises(GraphParseError, match="line 1: expected vertex count"):
+            from_edge_list("2\x1c1 2\n")
+
+    def test_crlf_lines(self):
+        D = from_edge_list("# comment\r\n3\r\n1 2\r\n\r\n2 3\r\n")
+        assert D.n == 3 and D.arcs == {(1, 2), (2, 3)}
+
     def test_round_trip_text(self):
         D = gen_family("source_arc_path", 6)
         assert from_edge_list(to_edge_list(D)) == D
@@ -172,6 +186,15 @@ class TestLeftToRightOrder:
     def test_cyclic_rejected(self):
         with pytest.raises(CyclicGraphError):
             left_to_right_order(TRIANGLE)
+
+    def test_cyclic_rejected_on_every_call(self):
+        D = Digraph(3, {(1, 2), (2, 3), (3, 1)})
+        for _ in range(2):
+            assert not is_acyclic(D)
+            with pytest.raises(CyclicGraphError):
+                left_to_right_order(D)
+            with pytest.raises(CyclicGraphError):
+                longest_path_levels(D)
 
     @settings(deadline=None)
     @given(acyclic_digraphs())

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dinrep import (
@@ -12,17 +12,19 @@ from dinrep import (
     SIZE_NOT_INCREASING,
     Digraph,
     Representation,
+    ValidityReport,
     Violation,
     canonicalize,
     gen_family,
     induced_subgraph,
+    pairing_construction,
     rep_from_json,
     rep_to_json,
     restrict,
     source_arc_path_representation,
     verify,
 )
-from corpus import independent_validity
+from corpus import connected_dag_corpus, reference_violations
 
 SINGLE_ARC = Digraph(2, {(1, 2)})
 TRIANGLE = Digraph(3, {(1, 2), (2, 3), (3, 1)})
@@ -34,6 +36,20 @@ def digraph_and_rep(draw, max_n=4, max_colors=4):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     arcs = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     color = st.integers(min_value=0, max_value=max_colors - 1)
+    sets = [draw(st.sets(color, min_size=1)) for _ in range(n)]
+    return Digraph(n, arcs), Representation(n, sets)
+
+
+@st.composite
+def cyclic_digraph_and_rep(draw, max_n=7):
+    """Digraphs with 2-cycles (both (u, v) and (v, u)) and sparse color ids
+    of at least 10**6, some shared."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    both = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    one = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    arcs = {a for i, j in both for a in ((i, j), (j, i))} | one
+    color = st.sampled_from([10**6, 10**6 + 1, 2**31 - 1, 10**9 + 7, 3 * 10**12, 2**70])
     sets = [draw(st.sets(color, min_size=1)) for _ in range(n)]
     return Digraph(n, arcs), Representation(n, sets)
 
@@ -81,7 +97,30 @@ class TestVerify:
     @given(digraph_and_rep())
     def test_agrees_with_independent_reimplementation(self, pair):
         D, rep = pair
-        assert verify(D, rep).valid == independent_validity(D, rep)
+        expected = tuple(reference_violations(D, rep))
+        assert verify(D, rep) == ValidityReport(not expected, expected)
+
+    @settings(deadline=None, max_examples=300)
+    @given(cyclic_digraph_and_rep())
+    @example((Digraph(1), Representation(1, [{10**6}])))
+    @example((Digraph(2, {(1, 2), (2, 1)}), Representation(2, [{10**6}, {10**6, 2**70}])))
+    def test_agrees_on_cycles_and_sparse_colors(self, pair):
+        D, rep = pair
+        expected = tuple(reference_violations(D, rep))
+        assert verify(D, rep) == ValidityReport(not expected, expected)
+
+    def test_fresh_colors_at_one_vertex_break_exactly_its_arcs(self):
+        D = connected_dag_corpus(60, 1, seed=63)[0]
+        rep = pairing_construction(D)
+        assert verify(D, rep).valid
+        h = 30
+        assert D.in_map[h] and D.out_map[h]
+        sets = list(rep.color_sets)
+        sets[h - 1] = frozenset(range(10**6, 10**6 + len(sets[h - 1])))
+        report = verify(D, Representation(D.n, sets))
+        assert report.violations == tuple(
+            Violation(u, v, MISSING_INTERSECTION) for u, v in sorted(D.arcs) if h in (u, v)
+        )
 
     @settings(deadline=None)
     @given(digraph_and_rep(), st.randoms(use_true_random=False))
