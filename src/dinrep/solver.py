@@ -9,13 +9,16 @@ vertex order (all in-neighbors of a vertex precede it):
 
 * enumerate size functions s(v) in [1, k] that strictly increase along
   every arc -- and, since sizes increase along whole paths, along every
-  reachable pair -- with s(v) >= gamma(v) + 1 and s(v) <= k minus the
-  longest path leaving v.  Pairwise non-adjacent vertices with distinct
-  sizes must have pairwise disjoint sets, so in every maximal non-adjacent
-  clique the distinct sizes sum to at most k.  That bound is checked as
-  each vertex is sized, from a running set and sum of distinct sizes per
-  clique, so a partial size function that already breaks it is discarded
-  with everything below it.
+  reachable pair -- with s(v) at least a static floor and at most k minus
+  the longest path leaving v.  The floor exceeds every in-neighbor's floor
+  and is at least the largest set of neighbors of v that are pairwise
+  non-adjacent and joined by a path: those differ in size, so they share
+  no color, and v meets each through a color of its own.  Pairwise
+  non-adjacent vertices with distinct sizes must have pairwise disjoint
+  sets, so in every maximal non-adjacent clique the distinct sizes sum to
+  at most k.  That bound is checked as each vertex is sized, from a
+  running set and sum of distinct sizes per clique, so a partial size
+  function that already breaks it is discarded with everything below it.
 
 * backtracking set assignment: each vertex takes s(v) colors, reusing old
   colors where allowed and introducing fresh colors only as the next unused
@@ -23,7 +26,14 @@ vertex order (all in-neighbors of a vertex precede it):
   vertices with different sizes must stay disjoint; every in-neighbor must
   be hit by a reused color.  Each unassigned vertex keeps a mask of the
   colors it may no longer take, updated as vertices are assigned and
-  restored as they are unassigned.
+  restored as they are unassigned.  The clique bound is rechecked on what
+  is left: the unassigned members of a clique that differ in size need
+  their distinct sizes in disjoint colors, drawn from the old colors each
+  may still take and the colors not yet introduced.
+
+Both bounds only cut subtrees that hold no representation and leave the
+enumeration order alone, so the first witness found is the same with or
+without them.
 
 Everything is deterministic: fixed orders, fixed enumeration, no RNG.
 """
@@ -50,6 +60,11 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 # phase recurses once per vertex on top of them
 _FRAME_RESERVE = 150
 
+# the clique bounds and the size floor's set search are optional for
+# correctness; above this many vertices their enumerations could blow up, so
+# they are skipped
+_PRUNE_MAX_VERTICES = 24
+
 
 @dataclass(frozen=True)
 class SolveBudget:
@@ -75,6 +90,7 @@ class LevelStats:
 
     k: int
     nodes: int
+    size_nodes: int  # nodes of size enumeration; the rest are set assignment
     size_functions: int  # complete size functions that reached assignment
     seconds: float
 
@@ -107,6 +123,20 @@ def max_search_vertices() -> int:
     return (sys.getrecursionlimit() - _FRAME_RESERVE) // 2 - 1
 
 
+def _check_search_depth(D: Digraph) -> None:
+    """Raise ``SearchDepthError`` for a graph too large for the search.
+
+    Checked before anything else looks at the graph, so a huge input costs
+    no acyclicity test first, whether or not it is cyclic.
+    """
+    limit = max_search_vertices()
+    if D.n > limit:
+        raise SearchDepthError(
+            f"exact search handles at most {limit} vertices at recursion "
+            f"limit {sys.getrecursionlimit()}, got {D.n}"
+        )
+
+
 def _maximal_nonadjacent_cliques(n: int, adj: list[int]) -> list[int]:
     """Maximal cliques (as bitmasks, size >= 2) of the non-adjacency graph."""
     comp = [(~adj[i]) & (((1 << n) - 1) ^ (1 << i)) for i in range(n)]
@@ -130,17 +160,66 @@ def _maximal_nonadjacent_cliques(n: int, adj: list[int]) -> list[int]:
     return out
 
 
+def _size_floors(in_prev: list[tuple[int, ...]], out_next: list[tuple[int, ...]],
+                 adj: list[int]) -> list[int]:
+    """Least size of each vertex in any size function, at least 1.
+
+    A vertex exceeds its in-neighbors, and it needs one color per member
+    of the largest set of its neighbors that are pairwise non-adjacent and
+    joined by a path: sizes increase along paths, so such neighbors differ
+    in size, share no color, and meet the vertex through distinct colors.
+    """
+    n = len(adj)
+    # per vertex: the descendants it is not adjacent to
+    apart = [0] * n
+    reach = [0] * n
+    for i in range(n - 1, -1, -1):
+        for j in out_next[i]:
+            reach[i] |= (1 << j) | reach[j]
+        apart[i] = reach[i] & ~adj[i]
+
+    def largest(cand: int, size: int, best: int) -> int:
+        while cand and size + cand.bit_count() > best:
+            low = cand & -cand
+            cand ^= low
+            best = largest(cand & apart[low.bit_length() - 1], size + 1, best)
+        return max(best, size)
+
+    floor = [largest(a, 0, 0) if n <= _PRUNE_MAX_VERTICES else 0 for a in adj]
+    for i in range(n):
+        floor[i] = max(floor[i], max((floor[q] + 1 for q in in_prev[i]), default=1))
+    return floor
+
+
+def _residual_cliques(
+    sizes: list[int], conflicts: tuple[int, ...],
+    tails: tuple[tuple[int, tuple[int, ...]], ...],
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The clique tails to recheck once a vertex has colors.
+
+    ``tails`` are the parts of the non-adjacent cliques after the vertex,
+    as (mask, members).  Each check is (members, the sum of their distinct
+    sizes).  Only tails through a vertex whose forbidden mask grows
+    (``conflicts``) can newly fail, and a tail whose members share one size
+    is already covered by the per-vertex size test.
+    """
+    hit = 0
+    for w in conflicts:
+        hit |= 1 << w
+    checks = []
+    for mask, members in tails:
+        if mask & hit:
+            distinct = {sizes[w] for w in members}
+            if len(distinct) > 1:
+                checks.append((members, sum(distinct)))
+    return tuple(checks)
+
+
 class _Search:
     """Search state for one digraph; reusable across deepening levels."""
 
     def __init__(self, D: Digraph, max_nodes: int):
         n = D.n
-        limit = max_search_vertices()
-        if n > limit:
-            raise SearchDepthError(
-                f"exact search handles at most {limit} vertices at recursion "
-                f"limit {sys.getrecursionlimit()}, got {n}"
-            )
         self.n = n
         self.order = left_to_right_order(D)
         posmap = {v: i for i, v in enumerate(self.order)}
@@ -154,26 +233,28 @@ class _Search:
         self.later_nonadj = [
             tuple(j for j in range(i + 1, n) if not (adj[i] >> j) & 1) for i in range(n)
         ]
-        gamma = [0] * n
-        for i in range(n):
-            gamma[i] = max((gamma[q] + 1 for q in self.in_prev[i]), default=0)
-        self.gamma = gamma
+        self.floor = _size_floors(self.in_prev, self.out_next, adj)
         h_out = [0] * n
         for i in range(n - 1, -1, -1):
             h_out[i] = max((h_out[j] + 1 for j in self.out_next[i]), default=0)
         self.h_out = h_out
-        # the clique prune is optional for correctness; skip the
-        # enumeration where the complement graph could blow it up
-        cliques = _maximal_nonadjacent_cliques(n, adj) if n <= 24 else []
-        through: list[list[int]] = [[] for _ in range(n)]
-        for c, clique in enumerate(cliques):
-            for i in range(n):
-                if (clique >> i) & 1:
-                    through[i].append(c)
-        self.through = [tuple(t) for t in through]
+        cliques = _maximal_nonadjacent_cliques(n, adj) if n <= _PRUNE_MAX_VERTICES else []
+        # per position p: the distinct parts after p of the cliques, where
+        # they keep two members or more, as (mask, members)
+        self.tails = []
+        for p in range(n):
+            masks = sorted({c & (-1 << (p + 1)) for c in cliques})
+            self.tails.append(tuple(
+                (t, tuple(w for w in range(p + 1, n) if (t >> w) & 1))
+                for t in masks if t & (t - 1)
+            ))
+        self.through = [
+            tuple(c for c, clique in enumerate(cliques) if (clique >> i) & 1) for i in range(n)
+        ]
         self.n_cliques = len(cliques)
         self.nodes = 0
         self.max_nodes = max_nodes
+        self.size_nodes = 0
         self.size_functions = 0
         self.levels: list[LevelStats] = []
         # per-run state
@@ -189,6 +270,9 @@ class _Search:
         # colors of assigned vertices it must stay disjoint from
         self.conflicts: list[tuple[int, ...]] = [()] * n
         self.forb = [0] * n
+        # per vertex: the cliques to recheck once it is assigned, built on
+        # first use since most size functions fail in a few vertices
+        self.residual: list[tuple[tuple[tuple[int, ...], int], ...] | None] = [None] * n
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -197,19 +281,20 @@ class _Search:
 
     def run(self, k: int) -> Representation | None:
         """Canonical witness with palette [0, k), or None if there is none."""
-        nodes, size_functions, start = self.nodes, self.size_functions, time.perf_counter()
+        nodes, size_nodes, size_functions = self.nodes, self.size_nodes, self.size_functions
+        start = time.perf_counter()
         try:
             self.k = k
             self.held = [0] * self.n_cliques
             self.slack = [k] * self.n_cliques
-            if any(self.gamma[i] + 1 > k - self.h_out[i] for i in range(self.n)):
+            if any(self.floor[i] > k - self.h_out[i] for i in range(self.n)):
                 return None
             if not self._sizes_dfs(0):
                 return None
         finally:
             self.levels.append(LevelStats(
-                k, self.nodes - nodes, self.size_functions - size_functions,
-                time.perf_counter() - start,
+                k, self.nodes - nodes, self.size_nodes - size_nodes,
+                self.size_functions - size_functions, time.perf_counter() - start,
             ))
         return canonicalize(Representation.from_mapping(self.n, {
             vertex: {c for c in range(k) if (self.phi[p] >> c) & 1}
@@ -217,6 +302,7 @@ class _Search:
         }))
 
     def _sizes_dfs(self, p: int) -> bool:
+        self.size_nodes += 1
         self._tick()
         sizes = self.sizes
         if p == self.n:
@@ -224,7 +310,7 @@ class _Search:
             return self._start_assignment()
         # sizes increase along arcs, so the in-neighbors already exceed
         # every other ancestor
-        lo = self.gamma[p] + 1
+        lo = self.floor[p]
         for q in self.in_prev[p]:
             if sizes[q] >= lo:
                 lo = sizes[q] + 1
@@ -267,6 +353,7 @@ class _Search:
             tuple(w for w in later if sizes[w] != sizes[p])
             for p, later in enumerate(self.later_nonadj)
         ]
+        self.residual = [None] * self.n
         self.forb = [0] * self.n
         self.used = 0
         return self._assign_dfs(0)
@@ -290,6 +377,22 @@ class _Search:
         mask = phi[p]
         for w in self.out_next[p]:
             if not (mask & ~forb[w]):
+                return False
+        # the later members of a non-adjacent clique that differ in size take
+        # disjoint sets, drawn from the old colors each may still take and
+        # the colors not yet introduced
+        checks = self.residual[p]
+        if checks is None:
+            checks = self.residual[p] = _residual_cliques(
+                sizes, self.conflicts[p], self.tails[p]
+            )
+        old = (1 << self.used) - 1
+        fresh = k - self.used
+        for members, total in checks:
+            free = 0
+            for w in members:
+                free |= ~forb[w]
+            if total > (free & old).bit_count() + fresh:
                 return False
         return True
 
@@ -359,16 +462,17 @@ def _constructor_upper(D: Digraph) -> int:
 def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
     """Exact minimum palette size, with a verified witness.
 
-    Cyclic inputs are reported infeasible immediately.  Otherwise the
-    deepening loop proves every k below the answer infeasible, so an
-    ``optimal`` result is a completeness certificate as well as a witness.
+    Graphs too large for the recursive search raise ``SearchDepthError``
+    first, cyclic or not; cyclic inputs are then reported infeasible
+    immediately.  Otherwise the deepening loop proves every k below the
+    answer infeasible, so an ``optimal`` result is a completeness
+    certificate as well as a witness.
     When the budget runs out, ``best_upper`` carries the smaller
     constructor palette.  ``levels`` records the work at each k tried.
-    Raises ``SearchDepthError`` for graphs too large for the recursive
-    search.
     """
     budget = budget or DEFAULT_BUDGET
     start = time.perf_counter()
+    _check_search_depth(D)
     if not is_acyclic(D):
         return SolveResult(INFEASIBLE, None, None, 0, time.perf_counter() - start)
     search = _Search(D, budget.max_nodes)
@@ -398,6 +502,7 @@ def feasible_with_palette(
     if k < 1:
         raise ValueError(f"palette size must be >= 1, got {k}")
     budget = budget or DEFAULT_BUDGET
+    _check_search_depth(D)
     if not is_acyclic(D):
         raise CyclicGraphError("feasibility is defined for acyclic digraphs")
     search = _Search(D, budget.max_nodes)

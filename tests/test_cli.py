@@ -6,6 +6,7 @@ import pytest
 
 from dinrep import gen_family, to_edge_list
 from dinrep.cli import main
+from dinrep.solver import max_search_vertices
 
 
 def run(capsys, *argv):
@@ -244,6 +245,14 @@ class TestDin:
         assert stdout == ""
         assert err.startswith("error: exact search handles at most")
 
+    def test_too_many_vertices_wins_over_cyclic(self, capsys, tmp_path):
+        g = tmp_path / "cycle.g"
+        g.write_text(f"{max_search_vertices() + 1}\n1 2\n2 1\n")
+        code, stdout, err = run(capsys, "din", str(g))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: exact search handles at most")
+
     def test_json_with_witness(self, capsys, tmp_path):
         g = tmp_path / "p3.g"
         w = tmp_path / "w.json"
@@ -253,7 +262,9 @@ class TestDin:
         obj = json.loads(stdout)
         assert obj["status"] == "optimal" and obj["din"] == 4
         assert [level["k"] for level in obj["levels"]] == [1, 2, 3, 4]
-        assert set(obj["levels"][0]) == {"k", "nodes", "size_functions", "seconds"}
+        assert set(obj["levels"][0]) == {"k", "nodes", "size_nodes", "size_functions", "seconds"}
+        assert all(level["size_nodes"] <= level["nodes"] for level in obj["levels"])
+        assert obj["levels"][-1]["size_nodes"] > 0
         assert json.loads(w.read_text())["n"] == 3
 
     def test_stdin(self, capsys, monkeypatch):

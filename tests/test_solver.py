@@ -153,6 +153,20 @@ class TestExactDin:
         with pytest.raises(SearchDepthError):
             exact_din(Digraph(limit + 1))
 
+    def test_vertex_count_checked_before_acyclicity(self):
+        # too large for the search wins over cyclic
+        D = Digraph(solver.max_search_vertices() + 1, {(1, 2), (2, 1)})
+        with pytest.raises(SearchDepthError):
+            exact_din(D)
+        with pytest.raises(SearchDepthError):
+            feasible_with_palette(D, 3)
+
+    def test_size_nodes_split_the_level_nodes(self):
+        result = exact_din(gen_family("source_arc_path", 6))
+        assert all(0 <= level.size_nodes <= level.nodes for level in result.levels)
+        # the last level reaches set assignment
+        assert 0 < result.levels[-1].size_nodes < result.levels[-1].nodes
+
 
 class TestFeasibleWithPalette:
     def test_single_arc_brackets(self):
@@ -269,3 +283,84 @@ class TestCliquePrune:
         result = exact_din(gen_family("directed_path", 9), SolveBudget(max_nodes=1_000_000))
         assert result.status == OPTIMAL
         assert result.din == directed_path_din(9)
+
+
+def _sets(text):
+    """Color sets written one bracket per vertex, as "[0-3] [0,4-7] ..."."""
+    out = []
+    for group in text.split():
+        colors = set()
+        for part in group.strip("[]").split(","):
+            lo, _, hi = part.partition("-")
+            colors.update(range(int(lo), int(hi or lo) + 1))
+        out.append(frozenset(colors))
+    return out
+
+
+# the n = 6 extremal mask 21045 plus a sink 7 with in-neighbors {2, 4}
+H7 = Digraph(7, {(1, 2), (1, 4), (1, 6), (2, 3), (2, 7), (3, 4), (4, 5), (4, 7), (5, 6)})
+
+
+class TestColorCountingBounds:
+    """The size floor and the residual clique bound only cut subtrees
+    without a representation, so the search finds the same first witness."""
+
+    @staticmethod
+    def _path_floors(in_prev, out_next, adj):
+        floor = []
+        for preds in in_prev:
+            floor.append(max((floor[q] + 1 for q in preds), default=1))
+        return floor
+
+    def _without_bounds(self, monkeypatch, D):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_size_floors", self._path_floors)
+            m.setattr(solver, "_residual_cliques", lambda *args: ())
+            return exact_din(D)
+
+    def _check_same(self, monkeypatch, D):
+        bounded = exact_din(D)
+        plain = self._without_bounds(monkeypatch, D)
+        assert bounded.status == plain.status == OPTIMAL, sorted(D.arcs)
+        assert bounded.din == plain.din, sorted(D.arcs)
+        assert bounded.witness == plain.witness, sorted(D.arcs)
+        assert bounded.nodes_explored <= plain.nodes_explored, sorted(D.arcs)
+
+    def test_every_forward_dag_on_four_vertices(self, monkeypatch):
+        for D in all_forward_digraphs(4):
+            self._check_same(monkeypatch, D)
+
+    @pytest.mark.parametrize("family,n", [
+        ("directed_path", 8), ("source_arc_path", 6), ("fig3_tree_large", None),
+    ])
+    def test_families(self, monkeypatch, family, n):
+        self._check_same(monkeypatch, gen_family(family, n))
+
+    def test_floor_is_at_least_one(self):
+        # an isolated vertex has no neighbors to count, but still a color
+        assert solver._size_floors([()] * 3, [()] * 3, [0] * 3) == [1, 1, 1]
+
+    def test_floor_counts_disjoint_neighbors(self):
+        # 2 and 4 are neighbors of 1, not adjacent, and joined by the path
+        # 2 -> 3 -> 4: they differ in size and share no color, so 1 meets
+        # them through two colors of its own
+        D = Digraph(4, {(1, 2), (2, 3), (3, 4), (1, 4)})
+        search = solver._Search(D, 10)
+        assert search.floor == [2, 3, 4, 5]
+
+    def test_source_arc_path_eight_certifies(self):
+        D = gen_family("source_arc_path", 8)
+        result = exact_din(D, SolveBudget(max_nodes=1_000_000))
+        assert result.status == OPTIMAL
+        assert result.din == 32
+        assert list(result.witness.color_sets) == _sets(
+            "[0-3] [0,4-7] [4-9] [1,8-13] [10-17] [2,14-21] [18-27] [3,22-31]"
+        )
+
+    def test_h7_certifies(self):
+        result = exact_din(H7, SolveBudget(max_nodes=100_000))
+        assert result.status == OPTIMAL
+        assert result.din == 22
+        assert list(result.witness.color_sets) == _sets(
+            "[0,1,2] [0,3,4,5] [3,4,6,7,8] [1,6-10] [9-15] [2,15-21] [5,9-14]"
+        )
