@@ -34,14 +34,16 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if not is_int(n) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-        normalized = frozenset((int(t), int(h)) for t, h in arcs)
-        for t, h in normalized:
+        pairs = [(t, h) for t, h in arcs]
+        for t, h in pairs:
+            if not (is_int(t) and is_int(h)):
+                raise ValueError(f"arc ({t!r}, {h!r}) has a vertex id that is not an integer")
             if t == h:
                 raise SelfLoopError(f"self-loop on vertex {t}")
             if not (1 <= t <= n and 1 <= h <= n):
                 raise VertexRangeError(f"arc ({t}, {h}) outside vertex range 1..{n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", normalized)
+        object.__setattr__(self, "arcs", frozenset(pairs))
 
     @property
     def vertices(self) -> range:

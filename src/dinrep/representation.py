@@ -40,16 +40,16 @@ class ValidityReport:
 class Representation:
     """Immutable vertex -> color-set assignment for vertices 1..n.
 
-    Colors are opaque non-negative integers; the palette is the union of all
-    sets and need not be contiguous (``canonicalize`` produces the 0..k-1
-    form).
+    Colors are opaque non-negative ints (not bools); the palette is the
+    union of all sets and need not be contiguous (``canonicalize`` produces
+    the 0..k-1 form).
     """
 
     n: int
     color_sets: tuple[frozenset[int], ...]
 
     def __init__(self, n: int, color_sets: Iterable[Iterable[int]]):
-        sets = tuple(frozenset(int(c) for c in s) for s in color_sets)
+        sets = tuple(map(frozenset, color_sets))
         if not is_int(n) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         if len(sets) != n:
@@ -57,7 +57,10 @@ class Representation:
         for v, s in enumerate(sets, start=1):
             if not s:
                 raise ValueError(f"vertex {v} has an empty color set")
-            if any(c < 0 for c in s):
+            # exactly int: True, 1.9 and '1' are not color ids
+            if not set(map(type, s)) <= {int}:
+                raise ValueError(f"vertex {v} has a color id that is not an integer")
+            if min(s) < 0:
                 raise ValueError(f"vertex {v} has a negative color id")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "color_sets", sets)

@@ -16,9 +16,9 @@ vertex order (all in-neighbors of a vertex precede it):
   no color, and v meets each through a color of its own.  Pairwise
   non-adjacent vertices with distinct sizes must have pairwise disjoint
   sets, so in every maximal non-adjacent clique the distinct sizes sum to
-  at most k.  That bound is checked as each vertex is sized, from a
-  running set and sum of distinct sizes per clique, so a partial size
-  function that already breaks it is discarded with everything below it.
+  at most k.  That bound is checked as each vertex is sized: it takes only
+  the sizes that each clique through it already holds or still has the
+  slack for, kept as a running set and sum of distinct sizes per clique.
 
 * backtracking set assignment: each vertex takes s(v) colors, reusing old
   colors where allowed and introducing fresh colors only as the next unused
@@ -41,6 +41,7 @@ Everything is deterministic: fixed orders, fixed enumeration, no RNG.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from functools import partial
 from itertools import combinations, count
 
 from .constructors import inductive_construction, pairing_construction
-from .digraph import Digraph, is_acyclic, left_to_right_order
+from .digraph import Digraph, is_acyclic, is_int, left_to_right_order
 from .errors import BudgetExhaustedError, CyclicGraphError, SearchDepthError
 from .representation import Representation, canonicalize
 
@@ -77,8 +78,8 @@ class SolveBudget:
     max_nodes: int = 100_000_000
 
     def __post_init__(self):
-        if self.max_nodes < 1:
-            raise ValueError("budget fields must be positive")
+        if not is_int(self.max_nodes) or self.max_nodes < 1:
+            raise ValueError(f"node budget must be a positive integer, got {self.max_nodes!r}")
 
 
 DEFAULT_BUDGET = SolveBudget()
@@ -121,20 +122,6 @@ class _OutOfNodes(Exception):
 def max_search_vertices() -> int:
     """Largest vertex count the recursive search handles at this recursion limit."""
     return (sys.getrecursionlimit() - _FRAME_RESERVE) // 2 - 1
-
-
-def _check_search_depth(D: Digraph) -> None:
-    """Raise ``SearchDepthError`` for a graph too large for the search.
-
-    Checked before anything else looks at the graph, so a huge input costs
-    no acyclicity test first, whether or not it is cyclic.
-    """
-    limit = max_search_vertices()
-    if D.n > limit:
-        raise SearchDepthError(
-            f"exact search handles at most {limit} vertices at recursion "
-            f"limit {sys.getrecursionlimit()}, got {D.n}"
-        )
 
 
 def _maximal_nonadjacent_cliques(n: int, adj: list[int]) -> list[int]:
@@ -315,26 +302,17 @@ class _Search:
             if sizes[q] >= lo:
                 lo = sizes[q] + 1
         hi = self.k - self.h_out[p]
-        # a size new to a clique through p must fit in the clique's slack;
-        # above the smallest slack, only sizes that every clique too tight
-        # for them already holds can pass
+        # the sizes in [lo, hi] that each clique through p already holds or
+        # still has the slack for
         through, held, slack = self.through[p], self.held, self.slack
-        cap = hi
+        values = ((2 << hi) - 1) >> lo << lo
         for c in through:
-            if slack[c] < cap:
-                cap = slack[c]
-        values = list(range(lo, cap + 1))
-        if cap < hi:
-            above = ((1 << (hi + 1)) - 1) & ~((1 << max(lo, cap + 1)) - 1)
-            for c in through:
-                above &= held[c] | ((1 << (slack[c] + 1)) - 1)
-            while above:
-                low = above & -above
-                values.append(low.bit_length() - 1)
-                above &= ~low
-        for value in values:
+            values &= held[c] | ((2 << slack[c]) - 1)
+        while values:
+            bit = values & -values
+            values ^= bit
+            value = bit.bit_length() - 1
             sizes[p] = value
-            bit = 1 << value
             added = [c for c in through if not held[c] & bit]
             for c in added:
                 held[c] |= bit
@@ -404,12 +382,7 @@ class _Search:
         s_p = self.sizes[p]
         forb = self.forb
         allowed = ((1 << self.used) - 1) & ~forb[p]
-        need = []
-        for q in self.in_prev[p]:
-            m = self.phi[q] & allowed
-            if not m:
-                return False
-            need.append(m)
+        need = [self.phi[q] & allowed for q in self.in_prev[p]]
         abits = []
         m = allowed
         while m:
@@ -459,6 +432,24 @@ def _constructor_upper(D: Digraph) -> int:
     )
 
 
+def _search_for(D: Digraph, budget: SolveBudget | None) -> _Search | None:
+    """The search state for D, or None if D is cyclic.
+
+    A graph too large for the search raises ``SearchDepthError`` before
+    anything else looks at it, so a huge input costs no acyclicity test
+    first, whether or not it is cyclic.
+    """
+    limit = max_search_vertices()
+    if D.n > limit:
+        raise SearchDepthError(
+            f"exact search handles at most {limit} vertices at recursion "
+            f"limit {sys.getrecursionlimit()}, got {D.n}"
+        )
+    if not is_acyclic(D):
+        return None
+    return _Search(D, (budget or DEFAULT_BUDGET).max_nodes)
+
+
 def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
     """Exact minimum palette size, with a verified witness.
 
@@ -470,12 +461,10 @@ def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
     When the budget runs out, ``best_upper`` carries the smaller
     constructor palette.  ``levels`` records the work at each k tried.
     """
-    budget = budget or DEFAULT_BUDGET
     start = time.perf_counter()
-    _check_search_depth(D)
-    if not is_acyclic(D):
+    search = _search_for(D, budget)
+    if search is None:
         return SolveResult(INFEASIBLE, None, None, 0, time.perf_counter() - start)
-    search = _Search(D, budget.max_nodes)
     try:
         for k in count(1):
             witness = search.run(k)
@@ -499,13 +488,11 @@ def feasible_with_palette(
     Tri-state: yes (with witness), no, or unknown when the node budget runs
     out first.
     """
-    if k < 1:
-        raise ValueError(f"palette size must be >= 1, got {k}")
-    budget = budget or DEFAULT_BUDGET
-    _check_search_depth(D)
-    if not is_acyclic(D):
+    if not is_int(k) or k < 1:
+        raise ValueError(f"palette size must be a positive integer, got {k!r}")
+    search = _search_for(D, budget)
+    if search is None:
         raise CyclicGraphError("feasibility is defined for acyclic digraphs")
-    search = _Search(D, budget.max_nodes)
     try:
         witness = search.run(k)
     except _OutOfNodes:
@@ -540,13 +527,17 @@ def extremal_din(
     vertices under some topological labeling, so enumerating the
     2^(n(n-1)/2) labeled subsets covers all of them.  No isomorphism
     reduction is attempted; at this scale correctness beats cleverness.
-    Witnesses come in arc-mask order, whatever the number of workers.
+    Witnesses come in arc-mask order, whatever the number of workers, which
+    must be at least 1 and is capped at the CPU count.
     """
     if not 2 <= n <= 6:
         raise ValueError(f"extremal enumeration supports 2 <= n <= 6, got {n}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers or 1, os.cpu_count() or 1)
     masks = range(1 << (n * (n - 1) // 2))
     solve = partial(_din, n, budget or DEFAULT_BUDGET)
-    if workers and workers > 1:
+    if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             dins = pool.map(solve, masks, chunksize=64)
     else:

@@ -267,6 +267,23 @@ class TestDin:
         assert obj["levels"][-1]["size_nodes"] > 0
         assert json.loads(w.read_text())["n"] == 3
 
+    def test_witness_file_text_mode(self, capsys, tmp_path):
+        g = tmp_path / "sap4.g"
+        w = tmp_path / "w.json"
+        g.write_text(to_edge_list(gen_family("source_arc_path", 4)))
+        code, stdout, _ = run(capsys, "din", str(g), "-w", str(w))
+        assert code == 0
+        assert stdout == f"DIN = 8 (witness: {w})\n"
+        code, stdout, _ = run(capsys, "verify", str(g), str(w))
+        assert code == 0 and stdout == "VALID\n"
+
+    def test_zero_budget_exit_2(self, capsys, tmp_path):
+        g = tmp_path / "p3.g"
+        g.write_text(to_edge_list(gen_family("directed_path", 3)))
+        code, stdout, err = run(capsys, "din", str(g), "--budget-nodes", "0")
+        assert code == 2 and stdout == ""
+        assert err == "error: node budget must be a positive integer, got 0\n"
+
     def test_stdin(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n1 2\n"))
@@ -286,6 +303,17 @@ class TestExtremalCmd:
         assert code == 0
         obj = json.loads(stdout)
         assert obj["max_din"] == 4
+
+    def test_budget_exhausted_exit_4(self, capsys):
+        code, stdout, err = run(capsys, "extremal", "4", "--budget-nodes", "5")
+        assert code == 4 and stdout == ""
+        assert err == "error: budget exhausted on 64 of 64 digraphs (n=4)\n"
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        code, stdout, err = run(capsys, "extremal", "3", "--threads", threads)
+        assert code == 2 and stdout == ""
+        assert err == f"error: workers must be at least 1, got {threads}\n"
 
     def test_n7_out_of_range(self, capsys):
         code, stdout, stderr = run(capsys, "extremal", "7")

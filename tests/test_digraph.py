@@ -152,6 +152,12 @@ class TestDigraphInvariants:
         with pytest.raises(VertexRangeError):
             Digraph(2, {(1, 3)})
 
+    @pytest.mark.parametrize("arc", [(1.5, 2), (1, 2.0), (True, 2), ("1", 2)])
+    def test_non_integer_endpoint_rejected(self, arc):
+        # not converted: int(1.5) would silently store the arc (1, 2)
+        with pytest.raises(ValueError, match="not an integer"):
+            Digraph(3, [arc])
+
     def test_nonpositive_n(self):
         with pytest.raises(ValueError):
             Digraph(0)

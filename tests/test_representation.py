@@ -93,6 +93,16 @@ class TestVerify:
         with pytest.raises(ValueError, match="empty"):
             Representation(2, [{1}, set()])
 
+    @pytest.mark.parametrize("sets", [["01", [1.9]], [[0], [1.9]], [[True]], [[0], {2, 3.5}]])
+    def test_non_integer_color_rejected(self, sets):
+        # not converted: int() would read "01" as {0, 1}, 1.9 as 1, True as 1
+        with pytest.raises(ValueError, match="not an integer"):
+            Representation(len(sets), sets)
+
+    def test_negative_color_rejected(self):
+        with pytest.raises(ValueError, match="vertex 2 has a negative color id"):
+            Representation(2, [{0}, {3, -1}])
+
     @settings(deadline=None, max_examples=300)
     @given(digraph_and_rep())
     def test_agrees_with_independent_reimplementation(self, pair):

@@ -137,6 +137,11 @@ class TestExactDin:
         )
         assert sum(level.nodes for level in result.levels) == result.nodes_explored
 
+    @pytest.mark.parametrize("max_nodes", [0, -1, True, 2.5, "10"])
+    def test_budget_must_be_a_positive_int(self, max_nodes):
+        with pytest.raises(ValueError, match=f"node budget must be a positive integer, got {max_nodes!r}"):
+            SolveBudget(max_nodes=max_nodes)
+
     def test_best_upper_unset_when_solved(self):
         assert exact_din(gen_family("source_arc_path", 6)).best_upper is None
 
@@ -190,8 +195,9 @@ class TestFeasibleWithPalette:
             feasible_with_palette(TRIANGLE, 3)
 
     def test_bad_k(self):
-        with pytest.raises(ValueError):
-            feasible_with_palette(Digraph(2), 0)
+        for k in (0, 4.5, True):
+            with pytest.raises(ValueError, match="palette size must be a positive integer"):
+                feasible_with_palette(gen_family("directed_path", 3), k)
 
 
 class TestBruteForceCrossCheck:
@@ -252,6 +258,46 @@ class TestExtremal:
         par = extremal_din(4, workers=2)
         assert seq[0] == par[0] == 8
         assert seq[1] == par[1]
+
+    @staticmethod
+    def _fake_pool(monkeypatch, cpus):
+        """Record each pool's size and map in this process; start nothing."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(solver.multiprocessing, "Pool", Pool)
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
+        return sizes
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        expected = extremal_din(3)
+        sizes = self._fake_pool(monkeypatch, 3)
+        assert extremal_din(3, workers=10**6) == expected
+        assert sizes == [3]
+
+    def test_unknown_cpu_count_runs_in_process(self, monkeypatch):
+        sizes = self._fake_pool(monkeypatch, None)
+        assert extremal_din(3, workers=4)[0] == 4
+        assert sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        sizes = self._fake_pool(monkeypatch, 3)
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            extremal_din(3, workers=workers)
+        assert sizes == []
 
 
 class TestCliquePrune:
@@ -364,3 +410,49 @@ class TestColorCountingBounds:
         assert list(result.witness.color_sets) == _sets(
             "[0,1,2] [0,3,4,5] [3,4,6,7,8] [1,6-10] [9-15] [2,15-21] [5,9-14]"
         )
+
+
+def _levels(result):
+    return [(lv.k, lv.nodes, lv.size_nodes, lv.size_functions) for lv in result.levels]
+
+
+_NO_WORK = [(k, 0, 0, 0) for k in range(1, 8)]
+
+
+class TestPinnedNodeCounts:
+    """Per-level work, pinned: a change that keeps every prune and the
+    enumeration order visits exactly these nodes at every palette size."""
+
+    def test_source_arc_path_six(self):
+        result = exact_din(gen_family("source_arc_path", 6))
+        assert _levels(result) == _NO_WORK + [
+            (8, 4, 4, 0), (9, 9, 9, 0), (10, 18, 18, 0), (11, 31, 31, 0),
+            (12, 51, 51, 0), (13, 78, 78, 0), (14, 116, 116, 0), (15, 166, 166, 0),
+            (16, 233, 233, 0), (17, 319, 319, 0), (18, 291, 7, 1),
+        ]
+        assert result.nodes_explored == 1_316
+
+    def test_directed_path_eight(self):
+        result = exact_din(gen_family("directed_path", 8))
+        assert _levels(result) == _NO_WORK + [
+            (8, 5, 5, 0), (9, 16, 16, 0), (10, 38, 38, 0), (11, 74, 74, 0),
+            (12, 131, 131, 0), (13, 212, 212, 0), (14, 327, 327, 0), (15, 483, 483, 0),
+            (16, 694, 694, 0), (17, 971, 971, 0), (18, 1336, 1336, 0),
+            (19, 1806, 1806, 0), (20, 26, 9, 1),
+        ]
+        assert result.nodes_explored == 6_119
+
+    def test_h7(self):
+        result = exact_din(H7)
+        assert _levels(result) == _NO_WORK + [
+            (8, 4, 4, 0), (9, 9, 9, 0), (10, 18, 18, 0), (11, 31, 31, 0),
+            (12, 51, 51, 0), (13, 78, 78, 0), (14, 116, 116, 0), (15, 167, 167, 0),
+            (16, 236, 236, 0), (17, 327, 327, 0), (18, 448, 448, 0),
+            (19, 605, 605, 0), (20, 821, 810, 1), (21, 2003, 1072, 2), (22, 245, 8, 1),
+        ]
+        assert result.nodes_explored == 5_159
+
+    def test_source_arc_path_eight_total(self):
+        result = exact_din(gen_family("source_arc_path", 8), SolveBudget(max_nodes=1_000_000))
+        assert result.status == OPTIMAL
+        assert result.nodes_explored == 83_617
