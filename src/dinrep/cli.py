@@ -37,6 +37,7 @@ from .errors import BudgetExhaustedError, CyclicGraphError
 from .representation import Representation, rep_from_json, rep_to_json, verify
 from .solver import (
     BUDGET_EXHAUSTED,
+    DEFAULT_BUDGET,
     INFEASIBLE,
     OPTIMAL,
     SolveBudget,
@@ -243,14 +244,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("din", help="exact minimum palette size")
     p.add_argument("graph")
-    p.add_argument("--budget-nodes", type=int, default=100_000_000)
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET.max_nodes)
     p.add_argument("--json", action="store_true")
     p.add_argument("-w", "--witness", default=None, help="write the witness JSON here")
     p.set_defaults(func=_cmd_din)
 
     p = sub.add_parser("extremal", help="max DIN over all DAGs on n vertices")
     p.add_argument("n", type=int)
-    p.add_argument("--budget-nodes", type=int, default=100_000_000)
+    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET.max_nodes)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_extremal)

@@ -305,16 +305,13 @@ def augmented_representation(n: int) -> Representation:
     the pair partner, is dropped from each endpoint.  Each step therefore
     grows the palette by exactly one.
     """
-    if n % 2:
-        raise ValueError(f"augmented closed form needs even n, got {n}")
-    if n < 8:
-        raise ValueError(f"augmented closed form needs n >= 8, got {n}")
+    added = augmented_added_arcs(n)  # checks n before any other work
     phi = _symbolic_source_arc_path(n)
     reservoir = {
         v: sorted(c for c in phi[v] if c[0] == _FILL)
         for v in range(3, n, 2)
     }
-    for k, (a, b) in enumerate(augmented_added_arcs(n), start=1):
+    for k, (a, b) in enumerate(added, start=1):
         patch = (_PATCH, k, 0)
         phi[a].add(patch)
         phi[b].add(patch)

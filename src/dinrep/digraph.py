@@ -50,32 +50,20 @@ class Digraph:
         return range(1, self.n + 1)
 
     @cached_property
-    def out_map(self) -> dict[int, frozenset[int]]:
-        succ: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for t, h in self.arcs:
-            succ[t].add(h)
-        return {v: frozenset(s) for v, s in succ.items()}
-
-    @cached_property
-    def in_map(self) -> dict[int, frozenset[int]]:
-        pred: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for t, h in self.arcs:
-            pred[h].add(t)
-        return {v: frozenset(s) for v, s in pred.items()}
-
-    @cached_property
     def _gamma(self) -> tuple[int, ...] | None:
         """Longest-path-to-vertex lengths via Kahn's algorithm, None on a cycle."""
         indeg = {v: 0 for v in self.vertices}
-        for _, h in self.arcs:
+        succ: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for t, h in self.arcs:
             indeg[h] += 1
+            succ[t].append(h)
         stack = [v for v in self.vertices if indeg[v] == 0]
         gamma = [0] * self.n
         seen = 0
         while stack:
             u = stack.pop()
             seen += 1
-            for w in self.out_map[u]:
+            for w in succ[u]:
                 if gamma[w - 1] < gamma[u - 1] + 1:
                     gamma[w - 1] = gamma[u - 1] + 1
                 indeg[w] -= 1
@@ -245,12 +233,11 @@ def _source_arc_path_arcs(n: int) -> set[Arc]:
     return arcs
 
 
-def _augmented_arcs(n: int) -> tuple[set[Arc], list[Arc]]:
-    """Source arc-path plus a triangle-free bipartite arc set on odd labels.
-
-    Returns (all arcs, the added arcs sorted lexicographically).
-    """
-    arcs = _source_arc_path_arcs(n)
+def augmented_added_arcs(n: int) -> list[Arc]:
+    """The triangle-free bipartite arcs on odd labels that the augmented
+    family adds to the source arc-path, sorted lexicographically."""
+    if n % 2 or n < 8:
+        raise ValueError(f"augmented source arc-path requires even n >= 8, got {n}")
     if (n - 2) // 2 % 2 == 0:
         xs = range(3, n // 2 + 1, 2)
         ys = range(n // 2 + 2, n, 2)
@@ -259,9 +246,7 @@ def _augmented_arcs(n: int) -> tuple[set[Arc], list[Arc]]:
         xs = range(3, n // 2 + 2, 2)
         ys = range(n // 2 + 3, n, 2)
         drop = (n // 2 + 1, n // 2 + 3)
-    added = sorted({(x, y) for x in xs for y in ys} - {drop})
-    arcs.update(added)
-    return arcs, added
+    return sorted({(x, y) for x in xs for y in ys} - {drop})
 
 
 FIG3_TREE_SMALL_ARCS: frozenset[Arc] = frozenset({(1, 2), (1, 3), (3, 4)})
@@ -307,14 +292,4 @@ def gen_family(family: str, n: int | None = None) -> Digraph:
     if family == "source_arc_path":
         return Digraph(n, _source_arc_path_arcs(n))
     # augmented_source_arc_path
-    if n % 2 or n < 8:
-        raise ValueError(f"augmented source arc-path requires even n >= 8, got {n}")
-    arcs, _ = _augmented_arcs(n)
-    return Digraph(n, arcs)
-
-
-def augmented_added_arcs(n: int) -> list[Arc]:
-    """The arcs the augmented family adds on top of the source arc-path."""
-    if n % 2 or n < 8:
-        raise ValueError(f"augmented source arc-path requires even n >= 8, got {n}")
-    return _augmented_arcs(n)[1]
+    return Digraph(n, _source_arc_path_arcs(n) | set(augmented_added_arcs(n)))

@@ -257,9 +257,6 @@ class _Search:
         # colors of assigned vertices it must stay disjoint from
         self.conflicts: list[tuple[int, ...]] = [()] * n
         self.forb = [0] * n
-        # per vertex: the cliques to recheck once it is assigned, built on
-        # first use since most size functions fail in a few vertices
-        self.residual: list[tuple[tuple[tuple[int, ...], int], ...] | None] = [None] * n
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -331,7 +328,6 @@ class _Search:
             tuple(w for w in later if sizes[w] != sizes[p])
             for p, later in enumerate(self.later_nonadj)
         ]
-        self.residual = [None] * self.n
         self.forb = [0] * self.n
         self.used = 0
         return self._assign_dfs(0)
@@ -359,14 +355,9 @@ class _Search:
         # the later members of a non-adjacent clique that differ in size take
         # disjoint sets, drawn from the old colors each may still take and
         # the colors not yet introduced
-        checks = self.residual[p]
-        if checks is None:
-            checks = self.residual[p] = _residual_cliques(
-                sizes, self.conflicts[p], self.tails[p]
-            )
         old = (1 << self.used) - 1
         fresh = k - self.used
-        for members, total in checks:
+        for members, total in _residual_cliques(sizes, self.conflicts[p], self.tails[p]):
             free = 0
             for w in members:
                 free |= ~forb[w]
@@ -549,5 +540,5 @@ def extremal_din(
         )
     best = max(dins)
     # only the witnesses are rebuilt: keeping every solved graph would hold
-    # its caches, about 3 KB a graph
+    # its arcs and cached longest paths, about 1.5 KB a graph
     return best, [_graph_for_mask(n, mask) for mask, din in enumerate(dins) if din == best]

@@ -99,8 +99,8 @@ def test_c07_augmented_family():
         assert len(added) == (n * n - 4 * n + 4) // 16 - 1
         D = gen_family("augmented_source_arc_path", n)
         for i, j in D.arcs:
-            for k in D.out_map[j]:
-                assert (i, k) not in D.arcs, f"directed triangle {i},{j},{k}"
+            for k in D.vertices:
+                assert (j, k) not in D.arcs or (i, k) not in D.arcs, f"directed triangle {i},{j},{k}"
         rep = augmented_representation(n)
         assert verify(D, rep).valid
         assert rep.palette_size == palette

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from dinrep import gen_family, to_edge_list
-from dinrep.cli import main
-from dinrep.solver import max_search_vertices
+from dinrep.cli import _build_parser, main
+from dinrep.solver import DEFAULT_BUDGET, max_search_vertices
 
 
 def run(capsys, *argv):
@@ -220,6 +220,13 @@ class TestDin:
         assert code == 4
         assert "UNKNOWN (budget), best upper bound 19" in stdout
 
+    def test_budget_exhausted_single_vertex(self, capsys, tmp_path):
+        g = tmp_path / "one.g"
+        g.write_text("1\n")
+        code, stdout, _ = run(capsys, "din", str(g), "--budget-nodes", "1")
+        assert code == 4
+        assert stdout == "UNKNOWN (budget), best upper bound 1\n"
+
     def test_budget_exhausted_json_best_upper(self, capsys, tmp_path):
         g = tmp_path / "sap8.g"
         g.write_text(to_edge_list(gen_family("source_arc_path", 8)))
@@ -342,3 +349,9 @@ class TestBound:
 
     def test_domain_error(self, capsys):
         assert run(capsys, "bound", "1")[0] == 2
+
+
+class TestBudgetDefault:
+    @pytest.mark.parametrize("argv", [["din", "g.txt"], ["extremal", "5"]])
+    def test_is_the_solver_default(self, argv):
+        assert _build_parser().parse_args(argv).budget_nodes == DEFAULT_BUDGET.max_nodes

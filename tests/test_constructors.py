@@ -59,6 +59,10 @@ class TestPairingConstruction:
             assert start == n * n // 4 - n // 2
             assert set(range(start)) <= rep.palette
 
+    def test_initial_blocks_need_even_n(self):
+        with pytest.raises(ValueError, match="initial blocks are defined for even n"):
+            initial_block_sizes(5)
+
     @pytest.mark.parametrize("n", [4, 6])
     def test_exhaustive_small(self, n):
         bound = lemma_upper_bound(n)
@@ -196,10 +200,9 @@ class TestAugmentedRepresentation:
             assert removed <= aug.color_set(v + 1)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            augmented_representation(6)
-        with pytest.raises(ValueError):
-            augmented_representation(9)
+        for n in (6, 9):
+            with pytest.raises(ValueError, match="augmented source arc-path requires even n >= 8"):
+                augmented_representation(n)
 
 
 class TestOracleDominance:

@@ -103,6 +103,14 @@ class TestVerify:
         with pytest.raises(ValueError, match="vertex 2 has a negative color id"):
             Representation(2, [{0}, {3, -1}])
 
+    def test_set_count_must_match_n(self):
+        with pytest.raises(ValueError, match="expected 2 color sets, got 1"):
+            Representation(2, [{0}])
+
+    def test_mapping_must_cover_every_vertex(self):
+        with pytest.raises(ValueError, match=r"mapping misses vertices \[2\]"):
+            Representation.from_mapping(2, {1: {0}})
+
     @settings(deadline=None, max_examples=300)
     @given(digraph_and_rep())
     def test_agrees_with_independent_reimplementation(self, pair):
@@ -124,7 +132,7 @@ class TestVerify:
         rep = pairing_construction(D)
         assert verify(D, rep).valid
         h = 30
-        assert D.in_map[h] and D.out_map[h]
+        assert any(v == h for _, v in D.arcs) and any(u == h for u, _ in D.arcs)
         sets = list(rep.color_sets)
         sets[h - 1] = frozenset(range(10**6, 10**6 + len(sets[h - 1])))
         report = verify(D, Representation(D.n, sets))
@@ -201,6 +209,10 @@ class TestRestrict:
     def test_empty_set_error(self):
         with pytest.raises(ValueError):
             restrict(Representation(2, [{1}, {2}]), [])
+
+    def test_out_of_range_error(self):
+        with pytest.raises(ValueError, match=r"not contained in 1\.\.2"):
+            restrict(Representation(2, [{1}, {2}]), {3})
 
 
 class TestCanonicalize:

@@ -142,6 +142,13 @@ class TestExactDin:
         with pytest.raises(ValueError, match=f"node budget must be a positive integer, got {max_nodes!r}"):
             SolveBudget(max_nodes=max_nodes)
 
+    def test_best_upper_of_a_single_vertex(self):
+        # the constructions need two vertices; one vertex takes one color
+        result = exact_din(Digraph(1), SolveBudget(max_nodes=1))
+        assert result.status == BUDGET_EXHAUSTED
+        assert result.nodes_explored == 2
+        assert result.best_upper == 1
+
     def test_best_upper_unset_when_solved(self):
         assert exact_din(gen_family("source_arc_path", 6)).best_upper is None
 
