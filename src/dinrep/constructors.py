@@ -116,57 +116,43 @@ def pairing_construction(D: Digraph) -> Representation:
 def _save_one_color(
     phi: dict[int, set[int]],
     v1: int,
-    alpha: list[int],
-    beta: list[int],
+    a1: int,
+    b1: int,
     bump: int,
-    arcs: set[tuple[int, int]],
-    pair2_pool: tuple[list[int], int, int],
+    pattern: list[bool],
+    v3_pads: list[int],
 ) -> None:
     """Drop one front-pair color via the arc pattern on the first two pairs.
 
-    Only called when the front pair carries its arc and a second pair
-    exists.  In the patterns not handled here the saving is automatic: the
-    shared padding pool already mints at most two colors for the second
-    pair, or the padding delta was lowered to two for every pair.
+    ``pattern`` holds the arcs v1->v3, v1->v4, v2->v3 and v2->v4.  Only
+    called when the front pair carries its arc and a second pair exists.  In
+    the patterns not handled here the saving is automatic: the shared
+    padding pool already mints at most two colors for the second pair, or
+    the padding delta was lowered to two for every pair.
     """
+    a13, a14, a23, a24 = pattern
     v2, v3, v4 = v1 + 1, v1 + 2, v1 + 3
-    a13 = (v1, v3) in arcs
-    a14 = (v1, v4) in arcs
-    a23 = (v2, v3) in arcs
-    a24 = (v2, v4) in arcs
-    a1, b1 = alpha[0], beta[0]
     if a23 and a24:
         return
-    if a23:
-        if a13 and not a14:
-            # b1 sits in v2 and v3 only; reroute both uses and retire it
-            phi[v3].remove(b1)
-            phi[v3].add(bump)
-            phi[v2].remove(b1)
-            phi[v2].add(a1)
-        elif not a13 and not a14:
-            # a1 was never copied anywhere; replace it by the size color
-            phi[v1].remove(a1)
-            phi[v1].add(bump)
-        return
-    if a24:
-        if not a13 and a14:
-            # swap a1 out of v4 for a pad color v3 holds exclusively, and
-            # cover the (v1, v4) arc through b1 instead
-            pool, need_o, need_e = pair2_pool
-            spare = pool[need_e]
-            phi[v4].remove(a1)
-            phi[v4].add(spare)
-            phi[v1].remove(a1)
-            phi[v1].add(b1)
-        elif not a13 and not a14:
-            phi[v1].remove(a1)
-            phi[v1].add(bump)
-        return
     if not a13 and not a14:
-        # b1 was never copied anywhere; v2 can reuse a1 across the pair arc
-        phi[v2].remove(b1)
-        phi[v2].add(a1)
+        if a23 or a24:
+            # a1 was never copied anywhere; replace it by the size color
+            moves = [(v1, a1, bump)]
+        else:
+            # b1 was never copied anywhere; v2 can reuse a1 across the pair arc
+            moves = [(v2, b1, a1)]
+    elif a23 and a13 and not a14:
+        # b1 sits in v2 and v3 only; reroute both uses and retire it
+        moves = [(v3, b1, bump), (v2, b1, a1)]
+    elif a24 and a14 and not a13:
+        # swap a1 out of v4 for a pad color v3 holds exclusively, and
+        # cover the (v1, v4) arc through b1 instead
+        moves = [(v4, a1, v3_pads[0]), (v1, a1, b1)]
+    else:
+        return
+    for v, old, new in moves:
+        phi[v].remove(old)
+        phi[v].add(new)
 
 
 def inductive_construction(D: Digraph) -> Representation:
@@ -199,7 +185,6 @@ def inductive_construction(D: Digraph) -> Representation:
         bridge = next(colors)
         phi[v1] = set(alpha) | {bridge}
         phi[v2] = set(beta) | {bridge}
-        bump = None
         if pair_arc:
             bump = next(colors)
             phi[v2].add(bump)
@@ -207,42 +192,33 @@ def inductive_construction(D: Digraph) -> Representation:
         if half < 2:
             continue
 
-        gains = {w: 0 for w in range(lo + 2, n + 1)}
-        for pair in range(2, half + 1):
-            o = lo + 2 * (pair - 1)
-            e = o + 1
-            for src, color in ((v1, alpha[pair - 2]), (v2, beta[pair - 2])):
-                if (src, o) in arcs:
-                    phi[o].add(color)
-                    gains[o] += 1
-                if (src, e) in arcs:
-                    phi[e].add(color)
-                    gains[e] += 1
-
-        # the delta drops to 2 when neither front vertex reaches the second
-        # pair's even slot and exactly one arc reaches its odd slot
-        a13 = (v1, lo + 2) in arcs
-        a14 = (v1, lo + 3) in arcs
-        a23 = (v2, lo + 2) in arcs
-        a24 = (v2, lo + 3) in arcs
-        lowered = pair_arc and not a23 and not a24 and (a13 != a14)
+        pattern = [(v, w) in arcs for v in (v1, v2) for w in (v1 + 2, v1 + 3)]
+        a13, a14, a23, a24 = pattern
+        # the delta drops to 2 when the pair arc is present, v2 reaches
+        # neither member of the second pair and v1 reaches exactly one
+        lowered = pair_arc and not a23 and not a24 and a13 != a14
         delta = 2 if lowered else 3
 
-        pair2_pool: tuple[list[int], int, int] | None = None
-        for pair in range(2, half + 1):
-            o = lo + 2 * (pair - 1)
+        # each member of a later pair gains delta colors: its donor copies,
+        # then pads from the pair's one shared pool
+        for o, a, b in zip(range(v1 + 2, n, 2), alpha, beta):
             e = o + 1
-            need_o = delta - gains[o]
-            need_e = delta - gains[e]
+            need_o = need_e = delta
+            for src, color in ((v1, a), (v2, b)):
+                if (src, o) in arcs:
+                    phi[o].add(color)
+                    need_o -= 1
+                if (src, e) in arcs:
+                    phi[e].add(color)
+                    need_e -= 1
             pool = list(islice(colors, max(need_o, need_e)))
             phi[o].update(pool[:need_o])
             phi[e].update(pool[:need_e])
-            if pair == 2:
-                pair2_pool = (pool, need_o, need_e)
+            if o == v1 + 2:
+                v3_pads = pool[need_e:need_o]
 
         if pair_arc and not lowered:
-            assert bump is not None and pair2_pool is not None
-            _save_one_color(phi, v1, alpha, beta, bump, arcs, pair2_pool)
+            _save_one_color(phi, v1, alpha[0], beta[0], bump, pattern, v3_pads)
 
     return Representation.from_mapping(n, {order[i - 1]: phi[i] for i in range(1, n + 1)})
 
@@ -250,36 +226,31 @@ def inductive_construction(D: Digraph) -> Representation:
 # ---------------------------------------------------------------------------
 # closed forms for the two Hamiltonian families
 
-# color kinds, in palette id order: hub colors tie the source to each even
-# vertex, pair colors tie each consecutive odd-even pair, link colors tie
-# each even vertex to the next odd one, fill colors are the per-pair bulk
-# shared only inside a pair, patch colors serve the augmented family's
-# added arcs
-_HUB, _PAIR, _LINK, _FILL, _PATCH = range(5)
-
-
-def _symbolic_source_arc_path(n: int) -> dict[int, set[tuple]]:
+# colors are minted kind by kind, so this is their palette id order: hub
+# colors tie the source to each even vertex, pair colors tie each
+# consecutive odd-even pair, link colors tie each even vertex to the next
+# odd one, fill colors are the per-pair bulk shared only inside a pair,
+# patch colors serve the augmented family's added arcs
+def _source_arc_path(n: int, colors: count) -> tuple[dict[int, set[int]], dict[int, list[int]]]:
+    """Closed-form sets of the source arc-path and each odd vertex's fill colors."""
     half = n // 2
-    phi: dict[int, set[tuple]] = {}
+    hubs = list(islice(colors, half))  # pairs 1..half
+    pairs = list(islice(colors, half - 1))  # pairs 2..half
+    links = list(islice(colors, half - 1))  # pairs 1..half-1
+    # pair 1 has half - 1 fills, pair i >= 2 has half + 2i - 4 and vertex n
+    # one more, minted last
+    fills = [list(islice(colors, half - 1))]
+    fills += [list(islice(colors, half + 2 * i - 4)) for i in range(2, half + 1)]
 
-    def fills(pair: int, count: int) -> set[tuple]:
-        return {(_FILL, pair, j) for j in range(1, count + 1)}
-
-    phi[1] = {(_HUB, i, 0) for i in range(1, half + 1)}
-    phi[2] = {(_HUB, 1, 0), (_LINK, 1, 0)} | fills(1, half - 1)
-    for i in range(2, half):
-        bulk = fills(i, half + 2 * i - 4)
-        phi[2 * i - 1] = {(_PAIR, i, 0), (_LINK, i - 1, 0)} | bulk
-        phi[2 * i] = {(_HUB, i, 0), (_PAIR, i, 0), (_LINK, i, 0)} | bulk
-    phi[n - 1] = {(_LINK, half - 1, 0), (_PAIR, half, 0)} | fills(half, half + n - 4)
-    phi[n] = {(_HUB, half, 0), (_PAIR, half, 0)} | fills(half, half + n - 3)
-    return phi
-
-
-def _intify(phi: dict[int, set[tuple]], n: int) -> Representation:
-    keys = sorted(set().union(*phi.values()))
-    ids = {key: i for i, key in enumerate(keys)}
-    return Representation.from_mapping(n, {v: {ids[c] for c in s} for v, s in phi.items()})
+    phi = {1: set(hubs), 2: {hubs[0], *fills[0]}}
+    for e, hub, pair, fill in zip(range(4, n + 1, 2), hubs[1:], pairs, fills[1:]):
+        phi[e - 1] = {pair, *fill}
+        phi[e] = {hub, pair, *fill}
+    for e, link in zip(range(2, n, 2), links):
+        phi[e].add(link)
+        phi[e + 1].add(link)
+    phi[n].add(next(colors))
+    return phi, {2 * i + 1: fills[i] for i in range(1, half)}
 
 
 def source_arc_path_representation(n: int) -> Representation:
@@ -292,7 +263,8 @@ def source_arc_path_representation(n: int) -> Representation:
         raise ValueError(f"source arc-path closed form needs even n, got {n}")
     if n < 4:
         raise ValueError(f"source arc-path closed form needs n >= 4, got {n}")
-    rep = _intify(_symbolic_source_arc_path(n), n)
+    phi, _ = _source_arc_path(n, count())
+    rep = Representation.from_mapping(n, phi)
     assert rep.palette_size == source_arc_path_din(n)
     return rep
 
@@ -306,17 +278,12 @@ def augmented_representation(n: int) -> Representation:
     grows the palette by exactly one.
     """
     added = augmented_added_arcs(n)  # checks n before any other work
-    phi = _symbolic_source_arc_path(n)
-    reservoir = {
-        v: sorted(c for c in phi[v] if c[0] == _FILL)
-        for v in range(3, n, 2)
-    }
-    for k, (a, b) in enumerate(added, start=1):
-        patch = (_PATCH, k, 0)
-        phi[a].add(patch)
-        phi[b].add(patch)
-        phi[a].remove(reservoir[a].pop())
-        phi[b].remove(reservoir[b].pop())
-    rep = _intify(phi, n)
+    colors = count()
+    phi, reservoir = _source_arc_path(n, colors)
+    for arc, patch in zip(added, colors):
+        for v in arc:
+            phi[v].add(patch)
+            phi[v].remove(reservoir[v].pop())
+    rep = Representation.from_mapping(n, phi)
     assert rep.palette_size == augmented_din(n)
     return rep
