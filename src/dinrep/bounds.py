@@ -25,12 +25,10 @@ def lemma_upper_bound(n: int) -> int:
 
 
 def directed_path_din(n: int) -> int:
-    """Exact minimum palette of the directed path on n vertices."""
+    """Exact minimum palette of the directed path on n vertices: floor((n+1)^2/4)."""
     if n < 2:
         raise ValueError(f"directed path needs n >= 2, got {n}")
-    if n % 2 == 0:
-        return (n * n + 2 * n) // 4
-    return (n * n + 2 * n + 1) // 4
+    return (n + 1) ** 2 // 4
 
 
 def source_arc_path_din(n: int) -> int:

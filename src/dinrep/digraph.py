@@ -128,13 +128,15 @@ def induced_subgraph(D: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict
 
     Returns the subgraph and the old-label -> new-label map.
     """
-    sub = sorted(set(vertices))
+    keep = set(vertices)
+    if not all(map(is_int, keep)):
+        raise ValueError("vertex set holds an id that is not an integer")
+    sub = sorted(keep)
     if not sub:
         raise ValueError("induced subgraph needs a nonempty vertex set")
     if sub[0] < 1 or sub[-1] > D.n:
         raise VertexRangeError(f"vertex set not contained in 1..{D.n}")
     relabel = {old: i for i, old in enumerate(sub, start=1)}
-    keep = set(sub)
     arcs = {(relabel[t], relabel[h]) for t, h in D.arcs if t in keep and h in keep}
     return Digraph(len(sub), arcs), relabel
 
@@ -281,8 +283,8 @@ def gen_family(family: str, n: int | None = None) -> Digraph:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if n is None:
         raise ValueError(f"family {family!r} requires a vertex count")
-    if n < 2:
-        raise ValueError(f"family {family!r} requires n >= 2, got {n}")
+    if not is_int(n) or n < 2:
+        raise ValueError(f"family {family!r} requires n >= 2, got {n!r}")
     if family == "directed_path":
         return Digraph(n, {(k, k + 1) for k in range(1, n)})
     if family == "star":

@@ -146,7 +146,10 @@ def restrict(rep: Representation, vertices: Iterable[int]) -> Representation:
     correspondingly induced subgraph whenever the input was valid (the
     defining condition is pairwise).
     """
-    sub = sorted(set(vertices))
+    keep = set(vertices)
+    if not all(map(is_int, keep)):
+        raise ValueError("vertex set holds an id that is not an integer")
+    sub = sorted(keep)
     if not sub:
         raise ValueError("restriction needs a nonempty vertex set")
     if sub[0] < 1 or sub[-1] > rep.n:

@@ -521,10 +521,10 @@ def extremal_din(
     Witnesses come in arc-mask order, whatever the number of workers, which
     must be at least 1 and is capped at the CPU count.
     """
-    if not 2 <= n <= 6:
-        raise ValueError(f"extremal enumeration supports 2 <= n <= 6, got {n}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not is_int(n) or not 2 <= n <= 6:
+        raise ValueError(f"extremal enumeration supports 2 <= n <= 6, got {n!r}")
+    if workers is not None and (not is_int(workers) or workers < 1):
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
     workers = min(workers or 1, os.cpu_count() or 1)
     masks = range(1 << (n * (n - 1) // 2))
     solve = partial(_din, n, budget or DEFAULT_BUDGET)

@@ -273,6 +273,11 @@ class TestInducedSubgraph:
         with pytest.raises(VertexRangeError):
             induced_subgraph(D, {1, 9})
 
+    @pytest.mark.parametrize("vertices", [[1.5, 2], [True, 2]])
+    def test_non_integer_id_error(self, vertices):
+        with pytest.raises(ValueError, match="not an integer"):
+            induced_subgraph(gen_family("directed_path", 4), vertices)
+
 
 class TestFamilies:
     def test_source_arc_path_4(self):
@@ -307,6 +312,8 @@ class TestFamilies:
             gen_family("unknown_family", 4)
         with pytest.raises(ValueError):
             gen_family("directed_path")
+        with pytest.raises(ValueError, match="got 3.5"):
+            gen_family("star", 3.5)
 
     @pytest.mark.parametrize("n", [6, 7, 9])
     def test_augmented_parity_and_size_errors(self, n):

@@ -214,6 +214,11 @@ class TestRestrict:
         with pytest.raises(ValueError, match=r"not contained in 1\.\.2"):
             restrict(Representation(2, [{1}, {2}]), {3})
 
+    @pytest.mark.parametrize("vertices", [[True, 2], [1.5]])
+    def test_non_integer_id_error(self, vertices):
+        with pytest.raises(ValueError, match="not an integer"):
+            restrict(Representation(2, [{1}, {2}]), vertices)
+
 
 class TestCanonicalize:
     def test_renames_in_first_use_order(self):

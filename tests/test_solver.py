@@ -259,6 +259,8 @@ class TestExtremal:
             extremal_din(1)
         with pytest.raises(ValueError, match="2 <= n <= 6, got 7"):
             extremal_din(7)
+        with pytest.raises(ValueError, match="2 <= n <= 6, got 4.0"):
+            extremal_din(4.0)
 
     def test_workers_match_sequential(self):
         seq = extremal_din(4)
@@ -299,7 +301,7 @@ class TestExtremal:
         assert extremal_din(3, workers=4)[0] == 4
         assert sizes == []
 
-    @pytest.mark.parametrize("workers", [0, -4])
+    @pytest.mark.parametrize("workers", [0, -4, 1.5, True])
     def test_workers_below_one_rejected(self, monkeypatch, workers):
         sizes = self._fake_pool(monkeypatch, 3)
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
