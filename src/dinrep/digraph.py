@@ -123,21 +123,26 @@ def left_to_right_order(D: Digraph) -> tuple[int, ...]:
     return tuple(sorted(D.vertices, key=lambda v: (gamma[v - 1], v)))
 
 
+def vertex_subset(vertices: Iterable[int], n: int) -> list[int]:
+    """The distinct ids in ``vertices``, sorted; a nonempty subset of 1..n."""
+    sub = set(vertices)
+    if not all(map(is_int, sub)):
+        raise ValueError("vertex set holds an id that is not an integer")
+    if not sub:
+        raise ValueError("vertex set must be nonempty")
+    if min(sub) < 1 or max(sub) > n:
+        raise VertexRangeError(f"vertex set not contained in 1..{n}")
+    return sorted(sub)
+
+
 def induced_subgraph(D: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
     """Subgraph induced by a vertex set, relabeled 1..|S| in label order.
 
     Returns the subgraph and the old-label -> new-label map.
     """
-    keep = set(vertices)
-    if not all(map(is_int, keep)):
-        raise ValueError("vertex set holds an id that is not an integer")
-    sub = sorted(keep)
-    if not sub:
-        raise ValueError("induced subgraph needs a nonempty vertex set")
-    if sub[0] < 1 or sub[-1] > D.n:
-        raise VertexRangeError(f"vertex set not contained in 1..{D.n}")
+    sub = vertex_subset(vertices, D.n)
     relabel = {old: i for i, old in enumerate(sub, start=1)}
-    arcs = {(relabel[t], relabel[h]) for t, h in D.arcs if t in keep and h in keep}
+    arcs = {(relabel[t], relabel[h]) for t, h in D.arcs if t in relabel and h in relabel}
     return Digraph(len(sub), arcs), relabel
 
 

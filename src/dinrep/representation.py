@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Mapping, NamedTuple
 
-from .digraph import Digraph, is_int
+from .digraph import Digraph, is_int, vertex_subset
 
 MISSING_INTERSECTION = "missing-intersection"
 SIZE_NOT_INCREASING = "size-not-increasing"
@@ -146,14 +146,7 @@ def restrict(rep: Representation, vertices: Iterable[int]) -> Representation:
     correspondingly induced subgraph whenever the input was valid (the
     defining condition is pairwise).
     """
-    keep = set(vertices)
-    if not all(map(is_int, keep)):
-        raise ValueError("vertex set holds an id that is not an integer")
-    sub = sorted(keep)
-    if not sub:
-        raise ValueError("restriction needs a nonempty vertex set")
-    if sub[0] < 1 or sub[-1] > rep.n:
-        raise ValueError(f"vertex set not contained in 1..{rep.n}")
+    sub = vertex_subset(vertices, rep.n)
     return Representation(len(sub), tuple(rep.color_set(v) for v in sub))
 
 

@@ -8,17 +8,22 @@ The decision search runs in two phases over the deterministic left-to-right
 vertex order (all in-neighbors of a vertex precede it):
 
 * enumerate size functions s(v) in [1, k] that strictly increase along
-  every arc -- and, since sizes increase along whole paths, along every
-  reachable pair -- with s(v) at least a static floor and at most k minus
-  the longest path leaving v.  The floor exceeds every in-neighbor's floor
-  and is at least the largest set of neighbors of v that are pairwise
-  non-adjacent and joined by a path: those differ in size, so they share
-  no color, and v meets each through a color of its own.  Pairwise
-  non-adjacent vertices with distinct sizes must have pairwise disjoint
-  sets, so in every maximal non-adjacent clique the distinct sizes sum to
-  at most k.  That bound is checked as each vertex is sized: it takes only
-  the sizes that each clique through it already holds or still has the
-  slack for, kept as a running set and sum of distinct sizes per clique.
+  every arc, hence along every path, with s(v) between a static floor and
+  k minus the longest path leaving v.  The floor exceeds every
+  in-neighbor's floor and is at least the largest set of neighbors of v
+  that are pairwise non-adjacent and joined by a path: those differ in
+  size, share no color, and v meets each through a color of its own.
+  Pairwise non-adjacent vertices of distinct sizes have disjoint sets, so
+  in every maximal non-adjacent clique the distinct sizes sum to at most
+  k: each vertex takes only the sizes that each clique through it already
+  holds or still has the slack for.  Every later vertex has a dynamic
+  floor, above each in-neighbor's size or dynamic floor; it stays within
+  the vertex's ceiling, since every size and static floor stays within
+  its own.  A look-ahead runs at each level's root and after each size is
+  given: each clique has a fixed chain of later members, each reachable
+  from the one before, whose sizes strictly increase from those floors;
+  the ones above the clique's largest size are new distinct sizes, which
+  must fit in its slack.
 
 * backtracking set assignment: each vertex takes s(v) colors, reusing old
   colors where allowed and introducing fresh colors only as the next unused
@@ -31,9 +36,9 @@ vertex order (all in-neighbors of a vertex precede it):
   their distinct sizes in disjoint colors, drawn from the old colors each
   may still take and the colors not yet introduced.
 
-Both bounds only cut subtrees that hold no representation and leave the
-enumeration order alone, so the first witness found is the same with or
-without them.
+The bounds and the look-ahead only cut subtrees that hold no
+representation and leave the enumeration order alone, so the first
+witness found is the same with or without them.
 
 Everything is deterministic: fixed orders, fixed enumeration, no RNG.
 """
@@ -178,6 +183,27 @@ def _size_floors(in_prev: list[tuple[int, ...]], out_next: list[tuple[int, ...]]
     return floor
 
 
+def _clique_chains(n: int, cliques: list[int], reach: list[int]) -> tuple[list, list[list]]:
+    """The (clique, chain) pairs to check at the root and after each p.  A
+    chain from a member is it, then the chain from the first later member it
+    reaches.  After p a clique's chain starts at its first member after p; it
+    can newly fail only if it meets p's descendants or the clique holds p."""
+    root, after = [], [[] for _ in range(n)]
+    for i, c in enumerate(cliques):
+        chain_from = {}
+        chain, mask = (), 0  # the chain after p, and its members as a mask
+        for p in range(n - 1, -1, -1):
+            member = (c >> p) & 1
+            if chain and (member or mask & reach[p]):
+                after[p].append((i, chain))
+            if member:
+                nxt = c & reach[p]
+                tail, tail_mask = chain_from[(nxt & -nxt).bit_length() - 1] if nxt else ((), 0)
+                chain, mask = chain_from[p] = (p,) + tail, tail_mask | (1 << p)
+        root.append((i, chain))
+    return root, after
+
+
 def _residual_cliques(
     sizes: list[int], conflicts: tuple[int, ...],
     tails: tuple[tuple[int, tuple[int, ...]], ...],
@@ -222,10 +248,15 @@ class _Search:
         ]
         self.floor = _size_floors(self.in_prev, self.out_next, adj)
         h_out = [0] * n
+        reach = [0] * n
         for i in range(n - 1, -1, -1):
             h_out[i] = max((h_out[j] + 1 for j in self.out_next[i]), default=0)
+            for j in self.out_next[i]:
+                reach[i] |= (1 << j) | reach[j]
         self.h_out = h_out
+        self.below = [tuple(w for w in range(i + 1, n) if (reach[i] >> w) & 1) for i in range(n)]
         cliques = _maximal_nonadjacent_cliques(n, adj) if n <= _PRUNE_MAX_VERTICES else []
+        self.root_checks, self.checks = _clique_chains(n, cliques, reach)
         # per position p: the distinct parts after p of the cliques, where
         # they keep two members or more, as (mask, members)
         self.tails = []
@@ -235,9 +266,7 @@ class _Search:
                 (t, tuple(w for w in range(p + 1, n) if (t >> w) & 1))
                 for t in masks if t & (t - 1)
             ))
-        self.through = [
-            tuple(c for c, clique in enumerate(cliques) if (clique >> i) & 1) for i in range(n)
-        ]
+        self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
         self.n_cliques = len(cliques)
         self.nodes = 0
         self.max_nodes = max_nodes
@@ -246,6 +275,7 @@ class _Search:
         self.levels: list[LevelStats] = []
         # per-run state
         self.k = 0
+        # the size of each sized vertex, the dynamic floor of the others
         self.sizes = [0] * n
         # per clique: bitmask of the distinct sizes given so far, and k minus
         # their sum
@@ -271,9 +301,10 @@ class _Search:
             self.k = k
             self.held = [0] * self.n_cliques
             self.slack = [k] * self.n_cliques
+            self.sizes = list(self.floor)
             if any(self.floor[i] > k - self.h_out[i] for i in range(self.n)):
                 return None
-            if not self._sizes_dfs(0):
+            if self._refuted(self.root_checks) or not self._sizes_dfs(0):
                 return None
         finally:
             self.levels.append(LevelStats(
@@ -288,38 +319,57 @@ class _Search:
     def _sizes_dfs(self, p: int) -> bool:
         self.size_nodes += 1
         self._tick()
-        sizes = self.sizes
         if p == self.n:
             self.size_functions += 1
             return self._start_assignment()
-        # sizes increase along arcs, so the in-neighbors already exceed
-        # every other ancestor
-        lo = self.floor[p]
-        for q in self.in_prev[p]:
-            if sizes[q] >= lo:
-                lo = sizes[q] + 1
-        hi = self.k - self.h_out[p]
+        # p's in-neighbors are sized, so its dynamic floor exceeds each
+        sizes, floor, in_prev = self.sizes, self.floor, self.in_prev
+        lo, hi = sizes[p], self.k - self.h_out[p]
         # the sizes in [lo, hi] that each clique through p already holds or
         # still has the slack for
         through, held, slack = self.through[p], self.held, self.slack
         values = ((2 << hi) - 1) >> lo << lo
         for c in through:
             values &= held[c] | ((2 << slack[c]) - 1)
+        below, checks = self.below[p], self.checks[p]
+        saved = sizes[p:]
         while values:
             bit = values & -values
             values ^= bit
             value = bit.bit_length() - 1
             sizes[p] = value
+            for w in below:
+                f = floor[w]
+                for q in in_prev[w]:
+                    if sizes[q] >= f:
+                        f = sizes[q] + 1
+                sizes[w] = f
             added = [c for c in through if not held[c] & bit]
             for c in added:
                 held[c] |= bit
                 slack[c] -= value
-            if self._sizes_dfs(p + 1):
+            if not (checks and self._refuted(checks)) and self._sizes_dfs(p + 1):
                 return True
             for c in added:
                 held[c] ^= bit
                 slack[c] += value
-        sizes[p] = 0
+        sizes[p:] = saved
+        return False
+
+    def _refuted(self, checks) -> bool:
+        """Whether a chain in ``checks`` needs more new sizes than its clique
+        has slack for."""
+        sizes, held, slack = self.sizes, self.held, self.slack
+        for c, chain in checks:
+            # chain sizes strictly increase from the dynamic floors, and each
+            # above the largest size the clique holds is a new distinct size
+            top, room, value = held[c].bit_length() - 1, slack[c], 0
+            for w in chain:
+                value = value + 1 if value >= sizes[w] else sizes[w]
+                if value > top:
+                    room -= value
+                    if room < 0:
+                        return True
         return False
 
     def _start_assignment(self) -> bool:

@@ -13,6 +13,7 @@ from dinrep import (
     Digraph,
     Representation,
     ValidityReport,
+    VertexRangeError,
     Violation,
     canonicalize,
     gen_family,
@@ -213,6 +214,11 @@ class TestRestrict:
     def test_out_of_range_error(self):
         with pytest.raises(ValueError, match=r"not contained in 1\.\.2"):
             restrict(Representation(2, [{1}, {2}]), {3})
+
+    def test_out_of_range_error_type(self):
+        # the same error as induced_subgraph raises for the same vertex set
+        with pytest.raises(VertexRangeError):
+            restrict(Representation(2, [{1}, {2}]), [0])
 
     @pytest.mark.parametrize("vertices", [[True, 2], [1.5]])
     def test_non_integer_id_error(self, vertices):

@@ -195,7 +195,14 @@ class TestFeasibleWithPalette:
 
     def test_unknown_under_tiny_budget(self):
         D = gen_family("source_arc_path", 6)
-        assert feasible_with_palette(D, 17, SolveBudget(max_nodes=10)).feasible is None
+        assert feasible_with_palette(D, 18, SolveBudget(max_nodes=10)).feasible is None
+
+    def test_refuted_at_the_root_under_tiny_budget(self):
+        # below the DIN the look-ahead refutes k before the search takes a node
+        D = gen_family("source_arc_path", 6)
+        result = feasible_with_palette(D, 17, SolveBudget(max_nodes=10))
+        assert result.feasible is False
+        assert result.nodes_explored == 0
 
     def test_cyclic_precondition(self):
         with pytest.raises(CyclicGraphError):
@@ -421,11 +428,54 @@ class TestColorCountingBounds:
         )
 
 
+class TestLookAhead:
+    """The look-ahead of size enumeration only refutes partial size
+    functions that no complete one extends, so everything but the size
+    nodes is the same without it."""
+
+    @staticmethod
+    def _work(result):
+        return [(lv.k, lv.nodes - lv.size_nodes, lv.size_functions) for lv in result.levels]
+
+    def _check_same(self, monkeypatch, D):
+        ahead = exact_din(D)
+        with monkeypatch.context() as m:
+            m.setattr(solver._Search, "_refuted", lambda self, checks: False)
+            plain = exact_din(D)
+        assert ahead.status == plain.status == OPTIMAL, sorted(D.arcs)
+        assert ahead.din == plain.din, sorted(D.arcs)
+        assert ahead.witness == plain.witness, sorted(D.arcs)
+        assert self._work(ahead) == self._work(plain), sorted(D.arcs)
+        size_nodes = [sum(lv.size_nodes for lv in r.levels) for r in (ahead, plain)]
+        assert size_nodes[0] <= size_nodes[1], sorted(D.arcs)
+
+    def test_every_forward_dag_on_five_vertices(self, monkeypatch):
+        for D in all_forward_digraphs(5):
+            self._check_same(monkeypatch, D)
+
+    @pytest.mark.parametrize("D", [
+        gen_family("directed_path", 8), gen_family("source_arc_path", 6), H7,
+        gen_family("fig3_tree_large"),
+    ], ids=["dpath8", "sap6", "H7", "tree"])
+    def test_families(self, monkeypatch, D):
+        self._check_same(monkeypatch, D)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_directed_path_certifies(self, n):
+        D = gen_family("directed_path", n)
+        result = exact_din(D, SolveBudget(max_nodes=1_000_000))
+        assert result.status == OPTIMAL
+        assert result.din == directed_path_din(n)
+        assert verify(D, result.witness).valid
+
+
 def _levels(result):
     return [(lv.k, lv.nodes, lv.size_nodes, lv.size_functions) for lv in result.levels]
 
 
-_NO_WORK = [(k, 0, 0, 0) for k in range(1, 8)]
+def _no_work(top):
+    """Levels 1..top, each refuted at its root."""
+    return [(k, 0, 0, 0) for k in range(1, top + 1)]
 
 
 class TestPinnedNodeCounts:
@@ -434,34 +484,22 @@ class TestPinnedNodeCounts:
 
     def test_source_arc_path_six(self):
         result = exact_din(gen_family("source_arc_path", 6))
-        assert _levels(result) == _NO_WORK + [
-            (8, 4, 4, 0), (9, 9, 9, 0), (10, 18, 18, 0), (11, 31, 31, 0),
-            (12, 51, 51, 0), (13, 78, 78, 0), (14, 116, 116, 0), (15, 166, 166, 0),
-            (16, 233, 233, 0), (17, 319, 319, 0), (18, 291, 7, 1),
-        ]
-        assert result.nodes_explored == 1_316
+        assert _levels(result) == _no_work(17) + [(18, 291, 7, 1)]
+        assert result.nodes_explored == 291
 
     def test_directed_path_eight(self):
         result = exact_din(gen_family("directed_path", 8))
-        assert _levels(result) == _NO_WORK + [
-            (8, 5, 5, 0), (9, 16, 16, 0), (10, 38, 38, 0), (11, 74, 74, 0),
-            (12, 131, 131, 0), (13, 212, 212, 0), (14, 327, 327, 0), (15, 483, 483, 0),
-            (16, 694, 694, 0), (17, 971, 971, 0), (18, 1336, 1336, 0),
-            (19, 1806, 1806, 0), (20, 26, 9, 1),
-        ]
-        assert result.nodes_explored == 6_119
+        assert _levels(result) == _no_work(19) + [(20, 26, 9, 1)]
+        assert result.nodes_explored == 26
 
     def test_h7(self):
         result = exact_din(H7)
-        assert _levels(result) == _NO_WORK + [
-            (8, 4, 4, 0), (9, 9, 9, 0), (10, 18, 18, 0), (11, 31, 31, 0),
-            (12, 51, 51, 0), (13, 78, 78, 0), (14, 116, 116, 0), (15, 167, 167, 0),
-            (16, 236, 236, 0), (17, 327, 327, 0), (18, 448, 448, 0),
-            (19, 605, 605, 0), (20, 821, 810, 1), (21, 2003, 1072, 2), (22, 245, 8, 1),
+        assert _levels(result) == _no_work(17) + [
+            (18, 6, 6, 0), (19, 7, 7, 0), (20, 26, 15, 1), (21, 959, 28, 2), (22, 245, 8, 1),
         ]
-        assert result.nodes_explored == 5_159
+        assert result.nodes_explored == 1_243
 
     def test_source_arc_path_eight_total(self):
         result = exact_din(gen_family("source_arc_path", 8), SolveBudget(max_nodes=1_000_000))
         assert result.status == OPTIMAL
-        assert result.nodes_explored == 83_617
+        assert result.nodes_explored == 55_637
