@@ -137,6 +137,8 @@ _DIN_EXIT = {OPTIMAL: EXIT_OK, INFEASIBLE: EXIT_CYCLIC, BUDGET_EXHAUSTED: EXIT_B
 def _cmd_din(args) -> int:
     D = load_graph(_read(args.graph))
     result = exact_din(D, SolveBudget(max_nodes=args.budget_nodes))
+    # a budget stop refuted every level below the one it stopped in
+    best_lower = result.levels[-1].k if result.status == BUDGET_EXHAUSTED else None
     if args.json:
         obj = {
             "status": result.status,
@@ -144,6 +146,7 @@ def _cmd_din(args) -> int:
             "nodes_explored": result.nodes_explored,
             "elapsed": result.elapsed,
             "best_upper": result.best_upper,
+            "best_lower": best_lower,
             "levels": [dataclasses.asdict(level) for level in result.levels],
         }
         if result.witness is not None:
@@ -157,7 +160,8 @@ def _cmd_din(args) -> int:
         if result.status == INFEASIBLE:
             print("INFEASIBLE (cyclic)")
         elif result.status == BUDGET_EXHAUSTED:
-            print(f"UNKNOWN (budget), best upper bound {result.best_upper}")
+            print(f"UNKNOWN (budget), best upper bound {result.best_upper}, "
+                  f"certified lower bound {best_lower}")
         elif args.witness is not None:
             print(f"DIN = {result.din} (witness: {args.witness})")
         else:

@@ -23,18 +23,20 @@ vertex order (all in-neighbors of a vertex precede it):
   given: each clique has a fixed chain of later members, each reachable
   from the one before, whose sizes strictly increase from those floors;
   the ones above the clique's largest size are new distinct sizes, which
-  must fit in its slack.
+  must fit in its slack.  Neighbors of v that are pairwise non-adjacent
+  and of different sizes share no color, so v meets each through a color
+  of its own: once v and its neighbors are sized, at most s(v) of them.
 
-* backtracking set assignment: each vertex takes s(v) colors, reusing old
-  colors where allowed and introducing fresh colors only as the next unused
-  ids (canonical introduction order breaks color symmetry).  Non-adjacent
-  vertices with different sizes must stay disjoint; every in-neighbor must
-  be hit by a reused color.  Each unassigned vertex keeps a mask of the
-  colors it may no longer take, updated as vertices are assigned and
-  restored as they are unassigned.  The clique bound is rechecked on what
-  is left: the unassigned members of a clique that differ in size need
-  their distinct sizes in disjoint colors, drawn from the old colors each
-  may still take and the colors not yet introduced.
+* decide each complete size function by color classes, the holders of one
+  color.  Two members of a class are adjacent or of equal size, and s is
+  feasible exactly when at most k classes put every vertex v in s(v) of
+  them and both ends of every arc in a common one.  The first vertex with
+  need left takes all its remaining classes, a multiset in one fixed
+  order, grown lazily from the later vertices with need; a vertex whose
+  need runs out must have every arc covered.  After each class no vertex,
+  and no maximal non-adjacent clique, may need more classes than are
+  left; a clique needs the largest need of each of its sizes, summed,
+  since its sizes share no class.  Class i becomes color i.
 
 The bounds and the look-ahead only cut subtrees that hold no
 representation and leave the enumeration order alone, so the first
@@ -51,7 +53,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, count
+from itertools import count
 
 from .constructors import inductive_construction, pairing_construction
 from .digraph import Digraph, is_acyclic, is_int, left_to_right_order
@@ -96,8 +98,8 @@ class LevelStats:
 
     k: int
     nodes: int
-    size_nodes: int  # nodes of size enumeration; the rest are set assignment
-    size_functions: int  # complete size functions that reached assignment
+    size_nodes: int  # nodes of size enumeration; the rest are classes tried
+    size_functions: int  # complete size functions that reached the class search
     seconds: float
 
 
@@ -152,6 +154,16 @@ def _maximal_nonadjacent_cliques(n: int, adj: list[int]) -> list[int]:
     return out
 
 
+def _largest(cand: int, apart, size: int, best: int) -> int:
+    """Largest count of ``size`` members plus members of ``cand``, each in
+    the ``apart`` mask of every one taken before it, or ``best`` if larger."""
+    while cand and size + cand.bit_count() > best:
+        low = cand & -cand
+        cand ^= low
+        best = _largest(cand & apart[low.bit_length() - 1], apart, size + 1, best)
+    return max(best, size)
+
+
 def _size_floors(in_prev: list[tuple[int, ...]], out_next: list[tuple[int, ...]],
                  adj: list[int]) -> list[int]:
     """Least size of each vertex in any size function, at least 1.
@@ -169,15 +181,7 @@ def _size_floors(in_prev: list[tuple[int, ...]], out_next: list[tuple[int, ...]]
         for j in out_next[i]:
             reach[i] |= (1 << j) | reach[j]
         apart[i] = reach[i] & ~adj[i]
-
-    def largest(cand: int, size: int, best: int) -> int:
-        while cand and size + cand.bit_count() > best:
-            low = cand & -cand
-            cand ^= low
-            best = largest(cand & apart[low.bit_length() - 1], size + 1, best)
-        return max(best, size)
-
-    floor = [largest(a, 0, 0) if n <= _PRUNE_MAX_VERTICES else 0 for a in adj]
+    floor = [_largest(a, apart, 0, 0) if n <= _PRUNE_MAX_VERTICES else 0 for a in adj]
     for i in range(n):
         floor[i] = max(floor[i], max((floor[q] + 1 for q in in_prev[i]), default=1))
     return floor
@@ -204,28 +208,14 @@ def _clique_chains(n: int, cliques: list[int], reach: list[int]) -> tuple[list, 
     return root, after
 
 
-def _residual_cliques(
-    sizes: list[int], conflicts: tuple[int, ...],
-    tails: tuple[tuple[int, tuple[int, ...]], ...],
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The clique tails to recheck once a vertex has colors.
-
-    ``tails`` are the parts of the non-adjacent cliques after the vertex,
-    as (mask, members).  Each check is (members, the sum of their distinct
-    sizes).  Only tails through a vertex whose forbidden mask grows
-    (``conflicts``) can newly fail, and a tail whose members share one size
-    is already covered by the per-vertex size test.
-    """
-    hit = 0
-    for w in conflicts:
-        hit |= 1 << w
-    checks = []
-    for mask, members in tails:
-        if mask & hit:
-            distinct = {sizes[w] for w in members}
-            if len(distinct) > 1:
-                checks.append((members, sum(distinct)))
-    return tuple(checks)
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class _Search:
@@ -239,13 +229,10 @@ class _Search:
         arcs = {(posmap[u], posmap[v]) for u, v in D.arcs}
         self.in_prev = [tuple(q for q in range(i) if (q, i) in arcs) for i in range(n)]
         self.out_next = [tuple(j for j in range(i + 1, n) if (i, j) in arcs) for i in range(n)]
-        adj = [0] * n
+        adj = self.adj = [0] * n
         for i, j in arcs:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        self.later_nonadj = [
-            tuple(j for j in range(i + 1, n) if not (adj[i] >> j) & 1) for i in range(n)
-        ]
         self.floor = _size_floors(self.in_prev, self.out_next, adj)
         h_out = [0] * n
         reach = [0] * n
@@ -255,19 +242,17 @@ class _Search:
                 reach[i] |= (1 << j) | reach[j]
         self.h_out = h_out
         self.below = [tuple(w for w in range(i + 1, n) if (reach[i] >> w) & 1) for i in range(n)]
-        cliques = _maximal_nonadjacent_cliques(n, adj) if n <= _PRUNE_MAX_VERTICES else []
+        small = n <= _PRUNE_MAX_VERTICES
+        cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if small else []
         self.root_checks, self.checks = _clique_chains(n, cliques, reach)
-        # per position p: the distinct parts after p of the cliques, where
-        # they keep two members or more, as (mask, members)
-        self.tails = []
-        for p in range(n):
-            masks = sorted({c & (-1 << (p + 1)) for c in cliques})
-            self.tails.append(tuple(
-                (t, tuple(w for w in range(p + 1, n) if (t >> w) & 1))
-                for t in masks if t & (t - 1)
-            ))
         self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
-        self.n_cliques = len(cliques)
+        self.clique_bits = [sum(1 << c for c in t) for t in self.through]
+        # per position p: the vertices that p is the last of, among them and
+        # their neighbors, with more neighbors than their least size
+        self.crowds = [[] for _ in range(n)]
+        for w in range(n):
+            if small and adj[w].bit_count() > self.floor[w]:
+                self.crowds[max(w, adj[w].bit_length() - 1)].append((w, _bits(adj[w])))
         self.nodes = 0
         self.max_nodes = max_nodes
         self.size_nodes = 0
@@ -279,14 +264,8 @@ class _Search:
         self.sizes = [0] * n
         # per clique: bitmask of the distinct sizes given so far, and k minus
         # their sum
-        self.held = [0] * self.n_cliques
-        self.slack = [0] * self.n_cliques
-        self.phi = [0] * n
-        self.used = 0
-        # per vertex: later non-adjacent vertices of another size, and the
-        # colors of assigned vertices it must stay disjoint from
-        self.conflicts: list[tuple[int, ...]] = [()] * n
-        self.forb = [0] * n
+        self.held = [0] * len(cliques)
+        self.slack = [0] * len(cliques)
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -299,8 +278,8 @@ class _Search:
         start = time.perf_counter()
         try:
             self.k = k
-            self.held = [0] * self.n_cliques
-            self.slack = [k] * self.n_cliques
+            self.held = [0] * len(self.cliques)
+            self.slack = [k] * len(self.cliques)
             self.sizes = list(self.floor)
             if any(self.floor[i] > k - self.h_out[i] for i in range(self.n)):
                 return None
@@ -311,8 +290,9 @@ class _Search:
                 k, self.nodes - nodes, self.size_nodes - size_nodes,
                 self.size_functions - size_functions, time.perf_counter() - start,
             ))
+        # class i is color i
         return canonicalize(Representation.from_mapping(self.n, {
-            vertex: {c for c in range(k) if (self.phi[p] >> c) & 1}
+            vertex: {i for i, holders in enumerate(self.classes) if (holders >> p) & 1}
             for p, vertex in enumerate(self.order)
         }))
 
@@ -321,7 +301,7 @@ class _Search:
         self._tick()
         if p == self.n:
             self.size_functions += 1
-            return self._start_assignment()
+            return self._start_classes()
         # p's in-neighbors are sized, so its dynamic floor exceeds each
         sizes, floor, in_prev = self.sizes, self.floor, self.in_prev
         lo, hi = sizes[p], self.k - self.h_out[p]
@@ -331,13 +311,15 @@ class _Search:
         values = ((2 << hi) - 1) >> lo << lo
         for c in through:
             values &= held[c] | ((2 << slack[c]) - 1)
-        below, checks = self.below[p], self.checks[p]
+        below, checks, crowd = self.below[p], self.checks[p], self.crowds[p]
         saved = sizes[p:]
         while values:
             bit = values & -values
             values ^= bit
             value = bit.bit_length() - 1
             sizes[p] = value
+            if crowd and self._crowded(crowd):
+                continue
             for w in below:
                 f = floor[w]
                 for q in in_prev[w]:
@@ -372,95 +354,110 @@ class _Search:
                         return True
         return False
 
-    def _start_assignment(self) -> bool:
-        sizes = self.sizes
-        self.conflicts = [
-            tuple(w for w in later if sizes[w] != sizes[p])
-            for p, later in enumerate(self.later_nonadj)
-        ]
-        self.forb = [0] * self.n
-        self.used = 0
-        return self._assign_dfs(0)
-
-    def _future_ok(self, p: int) -> bool:
-        # every unassigned vertex must still be able to reach its size and
-        # to intersect each already-assigned in-neighbor.  All forbidden
-        # colors are old colors, so the size test reads s(w) + |forb(w)| <= k.
-        # Both tests held before p was assigned, so only the vertices whose
-        # forbidden mask just grew and p's later out-neighbors can fail.
-        k, sizes, forb, phi = self.k, self.sizes, self.forb, self.phi
-        for w in self.conflicts[p]:
-            f = forb[w]
-            if sizes[w] + f.bit_count() > k:
-                return False
-            for q in self.in_prev[w]:
-                if q > p:
-                    break
-                if not (phi[q] & ~f):
-                    return False
-        mask = phi[p]
-        for w in self.out_next[p]:
-            if not (mask & ~forb[w]):
-                return False
-        # the later members of a non-adjacent clique that differ in size take
-        # disjoint sets, drawn from the old colors each may still take and
-        # the colors not yet introduced
-        old = (1 << self.used) - 1
-        fresh = k - self.used
-        for members, total in _residual_cliques(sizes, self.conflicts[p], self.tails[p]):
-            free = 0
-            for w in members:
-                free |= ~forb[w]
-            if total > (free & old).bit_count() + fresh:
-                return False
-        return True
-
-    def _assign_dfs(self, p: int) -> bool:
-        self._tick()
-        if p == self.n:
-            return True
-        k = self.k
-        s_p = self.sizes[p]
-        forb = self.forb
-        allowed = ((1 << self.used) - 1) & ~forb[p]
-        need = [self.phi[q] & allowed for q in self.in_prev[p]]
-        abits = []
-        m = allowed
-        while m:
-            low = m & -m
-            abits.append(low)
-            m &= ~low
-        conflicts = self.conflicts[p]
-        saved_forb = [forb[w] for w in conflicts]
-        saved_used = self.used
-        t_min = max(0, s_p - len(abits))
-        t_max = min(s_p, k - saved_used)
-        for t in range(t_min, t_max + 1):
-            reuse = s_p - t
-            fresh = ((1 << t) - 1) << saved_used
-            for combo in combinations(abits, reuse):
-                self._tick()
-                mask = fresh
-                for bit in combo:
-                    mask |= bit
-                ok = True
-                for req in need:
-                    if not (mask & req):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                self.phi[p] = mask
-                self.used = saved_used + t
-                for w in conflicts:
-                    forb[w] |= mask
-                if self._future_ok(p) and self._assign_dfs(p + 1):
-                    return True
-                for w, f in zip(conflicts, saved_forb):
-                    forb[w] = f
-        self.phi[p] = 0
-        self.used = saved_used
+    def _crowded(self, crowd) -> bool:
+        """Whether a vertex in ``crowd`` has more neighbors that pairwise
+        share no color, being non-adjacent and of different sizes, than its
+        size: it meets each through a color of its own."""
+        sizes, adj = self.sizes, self.adj
+        for w, near in crowd:
+            if len({sizes[x] for x in near}) <= sizes[w]:
+                continue
+            apart = {x: sum(1 << y for y in near if sizes[y] != sizes[x] and not adj[x] >> y & 1)
+                     for x in near}
+            if _largest(adj[w], apart, 0, sizes[w]) > sizes[w]:
+                return True
         return False
+
+    def _start_classes(self) -> bool:
+        # per size function: each class taken as the mask of its holders
+        self.classes = []
+        same = {}
+        for p, s in enumerate(self.sizes):
+            same[s] = same.get(s, 0) | 1 << p
+        # two vertices may share a class when adjacent or of equal size
+        self.compat = [a | same[s] for a, s in zip(self.adj, self.sizes)]
+        self.need = list(self.sizes)
+        self.uncovered = list(self.adj)
+        # per clique: the classes its members still need, the largest need
+        # of each of its sizes summed, since two sizes share no class
+        self.demand = [self.k - s for s in self.slack]
+        return self._classes(0, (1 << self.n) - 1)
+
+    def _classes(self, v: int, alive: int) -> bool:
+        """Give v, the first vertex with need left, all its remaining classes,
+        then recurse to the next such vertex.  v takes a multiset of classes
+        in include-first order, each grown lazily from a stack of open
+        branches: (classes of v taken, members so far, candidates, members
+        it must take, previous class, whether it equals that class so far).
+        A vertex whose need runs out has every arc covered by then."""
+        need, uncovered, compat, demand, classes = (
+            self.need, self.uncovered, self.compat, self.demand, self.classes)
+        vbit, base = 1 << v, len(classes)
+        required = uncovered[v] if need[v] == 1 else 0
+        stack = [(0, vbit, alive & compat[v] & ~vbit, required, 0, False)]
+        taken = []  # the state before each class of v
+        while stack:
+            depth, members, cand, required, prev, tied = stack.pop()
+            if len(taken) > depth:
+                need[:], uncovered[:], demand[:], alive = taken[depth]
+                del taken[depth:], classes[base + depth:]
+            if required & ~(members | cand):
+                continue
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if tied and prev & (low - 1) != members:
+                    tied = False  # the class left out a member of prev
+                if tied and not prev & low:
+                    if low & required:
+                        break
+                    continue  # taking low would order the class before prev
+                if not low & required:
+                    stack.append((depth, members, cand, required, prev, False))
+                w = low.bit_length() - 1
+                members |= low
+                cand &= compat[w]
+                if need[w] == 1:
+                    required |= uncovered[w]
+                if required & ~(members | cand):
+                    break
+            else:
+                self._tick()
+                taken.append((need[:], uncovered[:], demand[:], alive))
+                classes.append(members)
+                hit = 0
+                for m in _bits(members):
+                    need[m] -= 1
+                    uncovered[m] &= ~members
+                    hit |= self.clique_bits[m]
+                    if not need[m]:
+                        alive ^= 1 << m
+                if max(need) > self.k - len(classes) or self._over_demand(members, hit):
+                    continue
+                if need[v]:
+                    required = uncovered[v] if need[v] == 1 else 0
+                    stack.append((depth + 1, vbit, alive & compat[v] & ~vbit, required, members, True))
+                elif not alive or self._classes((alive & -alive).bit_length() - 1, alive):
+                    return True
+        if taken:
+            need[:], uncovered[:], demand[:], _ = taken[0]
+            del classes[base:]
+        return False
+
+    def _over_demand(self, members: int, hit: int) -> bool:
+        """Lower the demand of each clique in ``hit`` that the class just
+        taken meets, and tell whether a clique now needs more classes than
+        are left.  A class meets one size of a clique at most; it lowers the
+        largest need there unless a vertex of that size outside it needs as
+        much."""
+        need, demand, cliques, compat = self.need, self.demand, self.cliques, self.compat
+        for c in _bits(hit):
+            inside = cliques[c] & members
+            # in a clique the vertices compatible with a member share its size
+            outside = cliques[c] & compat[(inside & -inside).bit_length() - 1] & ~members
+            if not outside or max(need[w] for w in _bits(inside)) >= max(need[w] for w in _bits(outside)):
+                demand[c] -= 1
+        return bool(demand) and max(demand) > self.k - len(self.classes)
 
 
 def _constructor_upper(D: Digraph) -> int:

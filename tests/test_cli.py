@@ -216,24 +216,26 @@ class TestDin:
     def test_budget_exhausted_exit_4(self, capsys, tmp_path):
         g = tmp_path / "sap6.g"
         g.write_text(to_edge_list(gen_family("source_arc_path", 6)))
-        code, stdout, _ = run(capsys, "din", str(g), "--budget-nodes", "40")
+        code, stdout, _ = run(capsys, "din", str(g), "--budget-nodes", "10")
         assert code == 4
-        assert "UNKNOWN (budget), best upper bound 19" in stdout
+        # every level below 18 is refuted at its root; the budget runs out in 18
+        assert stdout == "UNKNOWN (budget), best upper bound 19, certified lower bound 18\n"
 
     def test_budget_exhausted_single_vertex(self, capsys, tmp_path):
         g = tmp_path / "one.g"
         g.write_text("1\n")
         code, stdout, _ = run(capsys, "din", str(g), "--budget-nodes", "1")
         assert code == 4
-        assert stdout == "UNKNOWN (budget), best upper bound 1\n"
+        assert stdout == "UNKNOWN (budget), best upper bound 1, certified lower bound 1\n"
 
     def test_budget_exhausted_json_best_upper(self, capsys, tmp_path):
         g = tmp_path / "sap8.g"
         g.write_text(to_edge_list(gen_family("source_arc_path", 8)))
-        code, stdout, _ = run(capsys, "din", str(g), "--json", "--budget-nodes", "100")
+        code, stdout, _ = run(capsys, "din", str(g), "--json", "--budget-nodes", "20")
         assert code == 4
         obj = json.loads(stdout)
         assert obj["status"] == "budget_exhausted" and obj["best_upper"] == 35
+        assert obj["best_lower"] == obj["levels"][-1]["k"] == 32
         assert sum(level["nodes"] for level in obj["levels"]) == obj["nodes_explored"]
 
     def test_line_break_inside_a_line_exit_2(self, capsys, tmp_path):
@@ -268,6 +270,7 @@ class TestDin:
         assert code == 0
         obj = json.loads(stdout)
         assert obj["status"] == "optimal" and obj["din"] == 4
+        assert obj["best_upper"] is None and obj["best_lower"] is None
         assert [level["k"] for level in obj["levels"]] == [1, 2, 3, 4]
         assert set(obj["levels"][0]) == {"k", "nodes", "size_nodes", "size_functions", "seconds"}
         assert all(level["size_nodes"] <= level["nodes"] for level in obj["levels"])

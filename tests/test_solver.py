@@ -1,6 +1,7 @@
 """Exact search: fixtures, certificates, properties, budgets, enumeration."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -105,7 +106,7 @@ class TestExactDin:
             assert exact_din(D).din >= len(levels.levels)
 
     def test_budget_exhaustion(self):
-        result = exact_din(gen_family("source_arc_path", 6), SolveBudget(max_nodes=50))
+        result = exact_din(gen_family("source_arc_path", 6), SolveBudget(max_nodes=10))
         assert result.status == BUDGET_EXHAUSTED
         assert result.din is None
 
@@ -129,7 +130,7 @@ class TestExactDin:
 
     def test_best_upper_on_budget_exhaustion(self):
         D = gen_family("source_arc_path", 8)
-        result = exact_din(D, SolveBudget(max_nodes=100))
+        result = exact_din(D, SolveBudget(max_nodes=20))
         assert result.status == BUDGET_EXHAUSTED
         assert result.best_upper == min(
             pairing_construction(D).palette_size,
@@ -176,7 +177,7 @@ class TestExactDin:
     def test_size_nodes_split_the_level_nodes(self):
         result = exact_din(gen_family("source_arc_path", 6))
         assert all(0 <= level.size_nodes <= level.nodes for level in result.levels)
-        # the last level reaches set assignment
+        # the last level reaches the class search
         assert 0 < result.levels[-1].size_nodes < result.levels[-1].nodes
 
 
@@ -364,7 +365,7 @@ H7 = Digraph(7, {(1, 2), (1, 4), (1, 6), (2, 3), (2, 7), (3, 4), (4, 5), (4, 7),
 
 
 class TestColorCountingBounds:
-    """The size floor and the residual clique bound only cut subtrees
+    """The size floor and the class search's clique bound only cut subtrees
     without a representation, so the search finds the same first witness."""
 
     @staticmethod
@@ -377,7 +378,7 @@ class TestColorCountingBounds:
     def _without_bounds(self, monkeypatch, D):
         with monkeypatch.context() as m:
             m.setattr(solver, "_size_floors", self._path_floors)
-            m.setattr(solver, "_residual_cliques", lambda *args: ())
+            m.setattr(solver._Search, "_over_demand", lambda self, members, hit: False)
             return exact_din(D)
 
     def _check_same(self, monkeypatch, D):
@@ -466,6 +467,73 @@ class TestLookAhead:
         result = exact_din(D, SolveBudget(max_nodes=1_000_000))
         assert result.status == OPTIMAL
         assert result.din == directed_path_din(n)
+        assert verify(D, result.witness).valid
+
+
+class TestNeighbourBound:
+    """The neighbourhood bound of size enumeration only cuts size functions
+    without a representation, so the search finds the same first witness."""
+
+    @staticmethod
+    def _pair(monkeypatch, D):
+        bounded = exact_din(D)
+        with monkeypatch.context() as m:
+            m.setattr(solver._Search, "_crowded", lambda self, crowd: False)
+            plain = exact_din(D)
+        assert bounded.status == plain.status == OPTIMAL, sorted(D.arcs)
+        assert bounded.din == plain.din, sorted(D.arcs)
+        assert bounded.witness == plain.witness, sorted(D.arcs)
+        assert bounded.nodes_explored <= plain.nodes_explored, sorted(D.arcs)
+        return [sum(lv.size_functions for lv in r.levels) for r in (bounded, plain)]
+
+    def test_every_forward_dag_on_five_vertices(self, monkeypatch):
+        totals = [self._pair(monkeypatch, D) for D in all_forward_digraphs(5)]
+        # it does cut: fewer size functions reach the class search
+        assert sum(b for b, _ in totals) < sum(p for _, p in totals)
+
+    @pytest.mark.parametrize("D", [
+        gen_family("directed_path", 8), gen_family("source_arc_path", 6), H7,
+        gen_family("fig3_tree_large"),
+    ], ids=["dpath8", "sap6", "H7", "tree"])
+    def test_families(self, monkeypatch, D):
+        self._pair(monkeypatch, D)
+
+
+def _sink_extension(mask, in_set):
+    """The n = 6 DAG of ``mask`` plus a sink 7 with in-neighbors ``in_set``."""
+    return Digraph(7, solver._graph_for_mask(6, mask).arcs | {(q, 7) for q in in_set})
+
+
+class TestFrontier:
+    """Graphs that took millions of nodes when each size function was
+    decided by assigning color sets vertex by vertex."""
+
+    @pytest.mark.parametrize("D,din", [
+        (solver._graph_for_mask(7, 428602), 17),
+        (solver._graph_for_mask(7, 553213), 17),
+        (gen_family("source_arc_path", 10), 50),
+        (gen_family("source_arc_path", 12), 72),
+        (_sink_extension(24255, (1, 3, 6)), 20),
+    ], ids=["mask428602", "mask553213", "sap10", "sap12", "sink24255-136"])
+    def test_certifies(self, D, din):
+        result = exact_din(D, SolveBudget(max_nodes=1_000_000))
+        assert result.status == OPTIMAL
+        assert result.din == din
+        assert verify(D, result.witness).valid
+
+    def test_depth_guard(self):
+        # each phase recurses once per vertex, never once per class: k = 156
+        # classes fit in the frames that 24 vertices get
+        D = gen_family("directed_path", 24)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            assert solver.max_search_vertices() >= 24
+            result = exact_din(D, SolveBudget(max_nodes=1_000_000))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.status == OPTIMAL
+        assert result.din == directed_path_din(24) == 156
         assert verify(D, result.witness).valid
 
 
