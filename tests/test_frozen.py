@@ -1,8 +1,10 @@
 """Frozen exact DIN of every forward DAG on 5 vertices.
 
 ``frozen_din_n5.json`` was produced by the solver before the size phase
-learned to prune partial size functions.  Every later solver change must
-reproduce its DIN values and its witnesses exactly.
+learned to prune partial size functions.  Its witness digest was taken
+again when the class search replaced set assignment, which changed the
+witnesses on purpose.  Every later solver change must reproduce its DIN
+values and its witnesses exactly.
 """
 
 import hashlib

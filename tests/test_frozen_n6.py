@@ -1,8 +1,9 @@
 """Frozen exact DIN of every forward DAG on 6 vertices (stretch).
 
 ``frozen_din_n6.json`` was produced by the solver before the palette
-ceiling was removed from ``SolveBudget``.  Every later solver change must
-reproduce its DIN values and its witnesses exactly.  Run with
+ceiling was removed from ``SolveBudget``.  Its witness digest was taken
+again when the class search replaced set assignment.  Every later solver
+change must reproduce its DIN values and its witnesses exactly.  Run with
 ``pytest -m stretch``: 32,768 exact solves, then the extremal sweep.
 """
 

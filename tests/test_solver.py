@@ -552,22 +552,22 @@ class TestPinnedNodeCounts:
 
     def test_source_arc_path_six(self):
         result = exact_din(gen_family("source_arc_path", 6))
-        assert _levels(result) == _no_work(17) + [(18, 291, 7, 1)]
-        assert result.nodes_explored == 291
+        assert _levels(result) == _no_work(17) + [(18, 26, 7, 1)]
+        assert result.nodes_explored == 26
 
     def test_directed_path_eight(self):
         result = exact_din(gen_family("directed_path", 8))
-        assert _levels(result) == _no_work(19) + [(20, 26, 9, 1)]
-        assert result.nodes_explored == 26
+        assert _levels(result) == _no_work(19) + [(20, 29, 9, 1)]
+        assert result.nodes_explored == 29
 
     def test_h7(self):
         result = exact_din(H7)
         assert _levels(result) == _no_work(17) + [
-            (18, 6, 6, 0), (19, 7, 7, 0), (20, 26, 15, 1), (21, 959, 28, 2), (22, 245, 8, 1),
+            (18, 6, 6, 0), (19, 7, 7, 0), (20, 21, 15, 1), (21, 48, 28, 2), (22, 31, 8, 1),
         ]
-        assert result.nodes_explored == 1_243
+        assert result.nodes_explored == 113
 
     def test_source_arc_path_eight_total(self):
         result = exact_din(gen_family("source_arc_path", 8), SolveBudget(max_nodes=1_000_000))
         assert result.status == OPTIMAL
-        assert result.nodes_explored == 55_637
+        assert result.nodes_explored == 48
