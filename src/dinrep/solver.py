@@ -246,7 +246,6 @@ class _Search:
         cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if small else []
         self.root_checks, self.checks = _clique_chains(n, cliques, reach)
         self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
-        self.clique_bits = [sum(1 << c for c in t) for t in self.through]
         # per position p: the vertices that p is the last of, among them and
         # their neighbors, with more neighbors than their least size
         self.crowds = [[] for _ in range(n)]
@@ -425,11 +424,11 @@ class _Search:
                 self._tick()
                 taken.append((need[:], uncovered[:], demand[:], alive))
                 classes.append(members)
-                hit = 0
+                hit = set()
                 for m in _bits(members):
                     need[m] -= 1
                     uncovered[m] &= ~members
-                    hit |= self.clique_bits[m]
+                    hit.update(self.through[m])
                     if not need[m]:
                         alive ^= 1 << m
                 if max(need) > self.k - len(classes) or self._over_demand(members, hit):
@@ -444,14 +443,14 @@ class _Search:
             del classes[base:]
         return False
 
-    def _over_demand(self, members: int, hit: int) -> bool:
+    def _over_demand(self, members: int, hit: set[int]) -> bool:
         """Lower the demand of each clique in ``hit`` that the class just
         taken meets, and tell whether a clique now needs more classes than
         are left.  A class meets one size of a clique at most; it lowers the
         largest need there unless a vertex of that size outside it needs as
         much."""
         need, demand, cliques, compat = self.need, self.demand, self.cliques, self.compat
-        for c in _bits(hit):
+        for c in hit:
             inside = cliques[c] & members
             # in a clique the vertices compatible with a member share its size
             outside = cliques[c] & compat[(inside & -inside).bit_length() - 1] & ~members

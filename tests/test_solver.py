@@ -567,6 +567,14 @@ class TestPinnedNodeCounts:
         ]
         assert result.nodes_explored == 113
 
+    def test_tree(self):
+        # the root's three children are pairwise non-adjacent and of one
+        # size: their clique's demand falls only when a class holds every
+        # child with the largest need
+        result = exact_din(gen_family("fig3_tree_large"))
+        assert _levels(result) == _no_work(3) + [(4, 4, 4, 0), (5, 13, 11, 1), (6, 13, 7, 1)]
+        assert result.nodes_explored == 30
+
     def test_source_arc_path_eight_total(self):
         result = exact_din(gen_family("source_arc_path", 8), SolveBudget(max_nodes=1_000_000))
         assert result.status == OPTIMAL
