@@ -59,6 +59,15 @@ def connected_dag_corpus(n: int, count: int, seed: int) -> list[Digraph]:
     return [random_connected_dag(rng, n) for _ in range(count)]
 
 
+def random_dag(rng: random.Random, n: int, density: float) -> Digraph:
+    """DAG on 1..n: each pair is an arc with probability ``density``,
+    oriented along a random topological order."""
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    rand = rng.random
+    return Digraph(n, {(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rand() < density})
+
+
 def all_forward_digraphs(n: int):
     """Every DAG whose labels are already a topological order."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]

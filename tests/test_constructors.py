@@ -1,6 +1,7 @@
 """General constructions and closed forms: validity, bounds, structure."""
 
 import itertools
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ from dinrep import (
     verify,
 )
 from dinrep.constructors import initial_block_sizes
-from corpus import all_forward_digraphs, connected_dag_corpus
+from corpus import all_forward_digraphs, connected_dag_corpus, random_dag
 
 TRIANGLE = Digraph(3, {(1, 2), (2, 3), (3, 1)})
 
@@ -149,6 +150,17 @@ class TestInductiveConstruction:
             rep = inductive_construction(D)
             assert verify(D, rep).valid
             assert rep.palette_size <= general_upper_bound(n + 1)
+
+
+class TestColourObjects:
+    @pytest.mark.parametrize("n", [400, 401])
+    @pytest.mark.parametrize("build", [pairing_construction, inductive_construction])
+    def test_each_colour_is_one_int_object(self, build, n):
+        # a colour held by several vertices is one object shared by their
+        # sets; an equal int minted per holder would multiply the memory the
+        # large constructions take
+        rep = build(random_dag(random.Random(n), n, 0.1))
+        assert len({id(c) for s in rep.color_sets for c in s}) == rep.palette_size
 
 
 class TestSourceArcPathRepresentation:

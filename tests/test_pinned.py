@@ -7,6 +7,7 @@ as they were.
 """
 
 import hashlib
+import random
 
 from dinrep import (
     augmented_representation,
@@ -18,11 +19,13 @@ from dinrep import (
     to_edge_list,
 )
 from dinrep.cli import main
-from corpus import all_forward_digraphs, connected_dag_corpus
+from corpus import all_forward_digraphs, connected_dag_corpus, random_dag
 
 CONSTRUCTIONS_SHA256 = "5f5baf647b076b288d0e79af2184c005c720f897303cd2046244f035530d1a54"
 BOUND_LISTING_SHA256 = "9889e696d78a79b88c7bafa46e0e722543275c280934e549e87395b18a628796"
 CONSTRUCT_CLI_SHA256 = "00a487f49e35d6a321f7f1283c6fdad4843b82882ccab10bbb23ac0829e1d45f"
+# taken before the constructions read arcs from per-position out-neighbour sets
+N400_CONSTRUCTIONS_SHA256 = "6becade28142f3c1ff997f3544fbc4b64fb42069afe1067f6326e50251e49d61"
 
 FORMULAS = (None, "general", "lemma", "directed-path", "source-arc-path", "augmented", "p-intersection")
 
@@ -46,6 +49,17 @@ def test_constructions():
     for n in range(8, 17, 2):
         digest.update(rep_to_json(augmented_representation(n)).encode())
     assert digest.hexdigest() == CONSTRUCTIONS_SHA256
+
+
+def test_constructions_n400():
+    # about 8,000 arcs and 100,000 colours, an even and an odd n (the odd one
+    # goes through the dummy vertex)
+    digest = hashlib.sha256()
+    for n in (400, 401):
+        D = random_dag(random.Random(n), n, 0.1)
+        for build in (pairing_construction, inductive_construction):
+            digest.update(rep_to_json(build(D)).encode())
+    assert digest.hexdigest() == N400_CONSTRUCTIONS_SHA256
 
 
 def _transcript(capsys, argvs, with_stderr):
