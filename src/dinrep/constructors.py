@@ -25,10 +25,10 @@ Hamiltonian families, floor(n^2/2) and floor(n^2/2) + m.
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import count, groupby, islice
 
 from .bounds import augmented_din, source_arc_path_din
-from .digraph import Arc, Digraph, augmented_added_arcs, is_acyclic, left_to_right_order
+from .digraph import Digraph, augmented_added_arcs, is_acyclic, left_to_right_order
 from .errors import CyclicGraphError
 from .representation import Representation, restrict
 
@@ -46,11 +46,14 @@ def _with_dummy(D: Digraph) -> Digraph:
     return Digraph(D.n + 1, D.arcs)
 
 
-def _positions(D: Digraph) -> tuple[tuple[int, ...], set[Arc], count]:
-    """Left-to-right order, arcs between its 1-based positions, fresh color ids from 0."""
+def _positions(D: Digraph) -> tuple[tuple[int, ...], list[set[int]], count]:
+    """Left-to-right order, out-neighbours by 1-based position, fresh color ids from 0."""
     order = left_to_right_order(D)
     pos = {v: i for i, v in enumerate(order, start=1)}
-    return order, {(pos[u], pos[v]) for u, v in D.arcs}, count()
+    out: list[set[int]] = [set() for _ in range(D.n + 1)]
+    for u, v in D.arcs:
+        out[pos[u]].add(pos[v])
+    return order, out, count()
 
 
 def initial_block_sizes(n: int) -> list[int]:
@@ -72,49 +75,40 @@ def pairing_construction(D: Digraph) -> Representation:
         return restrict(pairing_construction(_with_dummy(D)), range(1, D.n + 1))
 
     n, half = D.n, D.n // 2
-    order, arcs, colors = _positions(D)
-    initial = {
-        i: list(islice(colors, size)) for i, size in enumerate(initial_block_sizes(n), start=1)
-    }
-    phi: dict[int, set[int]] = {i: set(initial[i]) for i in range(1, n + 1)}
+    order, out, colors = _positions(D)
+    # each position's list starts with its initial block, in minting order
+    phi = [[]] + [list(islice(colors, size)) for size in initial_block_sizes(n)]
 
     # one private donor color per arc-carrying later pair; a vertex in pair
     # p has exactly half - p following pairs, matching its block size
     for i in range(1, n + 1):
-        donors = initial[i]
-        ptr = 0
-        for pair in range((i + 1) // 2 + 1, half + 1):
-            o, e = 2 * pair - 1, 2 * pair
-            to_odd = (i, o) in arcs
-            to_even = (i, e) in arcs
-            if to_odd or to_even:
-                color = donors[ptr]
-                ptr += 1
-                if to_odd:
-                    phi[o].add(color)
-                if to_even:
-                    phi[e].add(color)
+        donors = iter(phi[i])
+        # the later pairs i reaches, in ascending order; an odd i's partner is i + 1
+        later = (j for j in sorted(out[i]) if j > i + i % 2)
+        for _, targets in groupby(later, key=lambda j: (j + 1) // 2):
+            color = next(donors)
+            for j in targets:
+                phi[j].append(color)
 
     # pad both members of each pair from one fresh pool; sharing inside a
     # pair is harmless (equal final sizes when the pair arc is absent) and
     # supplies the required common color when the pair arc is present
     for pair in range(1, half + 1):
         o, e = 2 * pair - 1, 2 * pair
-        pair_arc = (o, e) in arcs
-        target_o = half + 2 * pair - 2 if pair_arc else half + 2 * pair - 1
+        target_o = half + 2 * pair - 2 if e in out[o] else half + 2 * pair - 1
         target_e = half + 2 * pair - 1
         need_o = target_o - len(phi[o])
         need_e = target_e - len(phi[e])
         assert need_o >= 1 and need_e >= 1, "padding slack is always positive"
         pool = list(islice(colors, max(need_o, need_e)))
-        phi[o].update(pool[:need_o])
-        phi[e].update(pool[:need_e])
+        phi[o] += pool[:need_o]
+        phi[e] += pool[:need_e]
 
     return Representation.from_mapping(n, {order[i - 1]: phi[i] for i in range(1, n + 1)})
 
 
 def _save_one_color(
-    phi: dict[int, set[int]],
+    phi: list[list[int]],
     v1: int,
     a1: int,
     b1: int,
@@ -152,7 +146,7 @@ def _save_one_color(
         return
     for v, old, new in moves:
         phi[v].remove(old)
-        phi[v].add(new)
+        phi[v].append(new)
 
 
 def inductive_construction(D: Digraph) -> Representation:
@@ -172,27 +166,28 @@ def inductive_construction(D: Digraph) -> Representation:
         return restrict(inductive_construction(_with_dummy(D)), range(1, D.n + 1))
 
     n = D.n
-    order, arcs, colors = _positions(D)
-    phi: dict[int, set[int]] = {}
+    order, out, colors = _positions(D)
+    phi: list[list[int]] = [[] for _ in range(n + 1)]
     # peel pairs from the back so the deepest sub-problem mints colors first
     for lo in range(n - 1, 0, -2):
         half = (n - lo + 1) // 2
         v1, v2 = lo, lo + 1
-        pair_arc = (v1, v2) in arcs
+        out1, out2 = out[v1], out[v2]
+        pair_arc = v2 in out1
 
         alpha = list(islice(colors, half - 1))
         beta = list(islice(colors, half - 1))
         bridge = next(colors)
-        phi[v1] = set(alpha) | {bridge}
-        phi[v2] = set(beta) | {bridge}
+        phi[v1] = [*alpha, bridge]
+        phi[v2] = [*beta, bridge]
         if pair_arc:
             bump = next(colors)
-            phi[v2].add(bump)
+            phi[v2].append(bump)
 
         if half < 2:
             continue
 
-        pattern = [(v, w) in arcs for v in (v1, v2) for w in (v1 + 2, v1 + 3)]
+        pattern = [w in targets for targets in (out1, out2) for w in (v1 + 2, v1 + 3)]
         a13, a14, a23, a24 = pattern
         # the delta drops to 2 when the pair arc is present, v2 reaches
         # neither member of the second pair and v1 reaches exactly one
@@ -201,19 +196,16 @@ def inductive_construction(D: Digraph) -> Representation:
 
         # each member of a later pair gains delta colors: its donor copies,
         # then pads from the pair's one shared pool
-        for o, a, b in zip(range(v1 + 2, n, 2), alpha, beta):
-            e = o + 1
-            need_o = need_e = delta
-            for src, color in ((v1, a), (v2, b)):
-                if (src, o) in arcs:
-                    phi[o].add(color)
-                    need_o -= 1
-                if (src, e) in arcs:
-                    phi[e].add(color)
-                    need_e -= 1
+        need = [delta] * (n + 1)
+        for targets, donors in ((out1, alpha), (out2, beta)):
+            for j in targets - {v2}:
+                phi[j].append(donors[(j - v1) // 2 - 1])
+                need[j] -= 1
+        for o in range(v1 + 2, n, 2):
+            need_o, need_e = need[o], need[o + 1]
             pool = list(islice(colors, max(need_o, need_e)))
-            phi[o].update(pool[:need_o])
-            phi[e].update(pool[:need_e])
+            phi[o] += pool[:need_o]
+            phi[o + 1] += pool[:need_e]
             if o == v1 + 2:
                 v3_pads = pool[need_e:need_o]
 

@@ -52,24 +52,25 @@ class Digraph:
     @cached_property
     def _gamma(self) -> tuple[int, ...] | None:
         """Longest-path-to-vertex lengths via Kahn's algorithm, None on a cycle."""
-        indeg = {v: 0 for v in self.vertices}
-        succ: dict[int, list[int]] = {v: [] for v in self.vertices}
+        n = self.n
+        indeg = [0] * (n + 1)
+        succ: list[list[int]] = [[] for _ in range(n + 1)]
         for t, h in self.arcs:
             indeg[h] += 1
             succ[t].append(h)
-        stack = [v for v in self.vertices if indeg[v] == 0]
-        gamma = [0] * self.n
+        stack = [v for v in range(1, n + 1) if not indeg[v]]
+        gamma = [0] * (n + 1)
         seen = 0
         while stack:
             u = stack.pop()
             seen += 1
             for w in succ[u]:
-                if gamma[w - 1] < gamma[u - 1] + 1:
-                    gamma[w - 1] = gamma[u - 1] + 1
+                if gamma[w] <= gamma[u]:
+                    gamma[w] = gamma[u] + 1
                 indeg[w] -= 1
-                if indeg[w] == 0:
+                if not indeg[w]:
                     stack.append(w)
-        return tuple(gamma) if seen == self.n else None
+        return tuple(gamma[1:]) if seen == n else None
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
@@ -151,8 +152,9 @@ def induced_subgraph(D: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict
 
 
 # plain ASCII decimal integers only: int() would also take '1_0', '+1' and
-# non-ASCII digits
+# non-ASCII digits; \s is exactly the whitespace str.split() splits at
 _INTEGER = re.compile(r"-?[0-9]+")
+_ARC = re.compile(r"(-?[0-9]+)\s+(-?[0-9]+)")
 
 
 def from_edge_list(text: str) -> Digraph:
@@ -164,35 +166,40 @@ def from_edge_list(text: str) -> Digraph:
     """
     n: int | None = None
     arcs: list[Arc] = []
-    # only \n ends a line: splitlines() would also split at \x0b, \x1c, \u2028
-    # and others; strip() drops the \r of a \r\n file
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    linenos: list[int] = []
+    try:
+        # only \n ends a line: splitlines() would also split at \x0b, \x1c,
+        # \u2028 and others; strip() drops the \r of a \r\n file
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if n is None:
+                fields = line.split()
+                if len(fields) != 1:
+                    raise GraphParseError(f"line {lineno}: expected vertex count, got {line!r}")
+                if not _INTEGER.fullmatch(fields[0]):
+                    raise GraphParseError(f"line {lineno}: vertex count {fields[0]!r} is not an integer")
+                n = int(fields[0])
+                if n < 1:
+                    raise GraphParseError(f"line {lineno}: vertex count must be positive, got {n}")
+                continue
+            match = _ARC.fullmatch(line)
+            if match is None:
+                Digraph(n, arcs)  # a bad arc on an earlier line is reported first
+                if len(line.split()) != 2:
+                    raise GraphParseError(f"line {lineno}: expected 'tail head', got {line!r}")
+                raise GraphParseError(f"line {lineno}: arc endpoints must be integers, got {line!r}")
+            arcs.append((int(match[1]), int(match[2])))
+            linenos.append(lineno)
         if n is None:
-            if len(fields) != 1:
-                raise GraphParseError(f"line {lineno}: expected vertex count, got {line!r}")
-            if not _INTEGER.fullmatch(fields[0]):
-                raise GraphParseError(f"line {lineno}: vertex count {fields[0]!r} is not an integer")
-            n = int(fields[0])
-            if n < 1:
-                raise GraphParseError(f"line {lineno}: vertex count must be positive, got {n}")
-            continue
-        if len(fields) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'tail head', got {line!r}")
-        if not all(map(_INTEGER.fullmatch, fields)):
-            raise GraphParseError(f"line {lineno}: arc endpoints must be integers, got {line!r}")
-        t, h = int(fields[0]), int(fields[1])
-        if t == h:
-            raise SelfLoopError(f"line {lineno}: self-loop on vertex {t}")
-        if not (1 <= t <= n and 1 <= h <= n):
-            raise VertexRangeError(f"line {lineno}: arc ({t}, {h}) outside vertex range 1..{n}")
-        arcs.append((t, h))
-    if n is None:
-        raise GraphParseError("empty graph file: missing vertex count line")
-    return Digraph(n, arcs)
+            raise GraphParseError("empty graph file: missing vertex count line")
+        return Digraph(n, arcs)
+    except (SelfLoopError, VertexRangeError) as exc:
+        # the first arc that is a self-loop or out of range is the one named
+        bad = (t == h or not 1 <= min(t, h) <= max(t, h) <= n for t, h in arcs)
+        lineno = next(line for line, wrong in zip(linenos, bad) if wrong)
+        raise type(exc)(f"line {lineno}: {exc}") from None
 
 
 def to_edge_list(D: Digraph) -> str:

@@ -70,6 +70,25 @@ class TestParsing:
         with pytest.raises(GraphParseError):
             from_edge_list("")
 
+    def test_arc_line_with_three_fields(self):
+        with pytest.raises(GraphParseError, match="line 2: expected 'tail head'"):
+            from_edge_list("3\n1 2 x\n")
+
+    def test_tab_separated_arc(self):
+        assert from_edge_list("3\n1\t2\n").arcs == {(1, 2)}
+
+    def test_first_bad_arc_names_its_line(self):
+        with pytest.raises(VertexRangeError, match=r"^line 3: arc \(1, 5\) outside"):
+            from_edge_list("3\n1 2\n1 5\n2 2\n")
+        with pytest.raises(SelfLoopError, match="^line 2: self-loop on vertex 2"):
+            from_edge_list("3\n2 2\n# comment\n1 5\n")
+
+    def test_bad_arc_before_a_malformed_line_is_reported_first(self):
+        with pytest.raises(SelfLoopError, match="line 2"):
+            from_edge_list("3\n1 1\n1 x\n")
+        with pytest.raises(GraphParseError, match="line 2"):
+            from_edge_list("3\n1 x\n1 1\n")
+
     def test_python_integer_spellings_rejected(self):
         # int() reads this as n = 10 with the arc (1, 2)
         with pytest.raises(GraphParseError, match="line 1: vertex count '1_0'"):
@@ -151,6 +170,16 @@ class TestDigraphInvariants:
     def test_out_of_range_in_constructor(self):
         with pytest.raises(VertexRangeError):
             Digraph(2, {(1, 3)})
+
+    def test_first_bad_arc_in_input_order_is_reported(self):
+        with pytest.raises(VertexRangeError, match=r"arc \(1, 5\)"):
+            Digraph(3, [(1, 5), (2, 2)])
+        with pytest.raises(SelfLoopError):
+            Digraph(3, [(2, 2), (1, 5)])
+
+    def test_type_is_checked_before_range(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            Digraph(3, [(1.5, 9)])
 
     @pytest.mark.parametrize("arc", [(1.5, 2), (1, 2.0), (True, 2), ("1", 2)])
     def test_non_integer_endpoint_rejected(self, arc):
