@@ -172,8 +172,7 @@ def inductive_construction(D: Digraph) -> Representation:
     for lo in range(n - 1, 0, -2):
         half = (n - lo + 1) // 2
         v1, v2 = lo, lo + 1
-        out1, out2 = out[v1], out[v2]
-        pair_arc = v2 in out1
+        pair_arc = v2 in out[v1]
 
         alpha = list(islice(colors, half - 1))
         beta = list(islice(colors, half - 1))
@@ -187,7 +186,7 @@ def inductive_construction(D: Digraph) -> Representation:
         if half < 2:
             continue
 
-        pattern = [w in targets for targets in (out1, out2) for w in (v1 + 2, v1 + 3)]
+        pattern = [w in out[v] for v in (v1, v2) for w in (v1 + 2, v1 + 3)]
         a13, a14, a23, a24 = pattern
         # the delta drops to 2 when the pair arc is present, v2 reaches
         # neither member of the second pair and v1 reaches exactly one
@@ -195,19 +194,21 @@ def inductive_construction(D: Digraph) -> Representation:
         delta = 2 if lowered else 3
 
         # each member of a later pair gains delta colors: its donor copies,
-        # then pads from the pair's one shared pool
+        # then pads from the pair's one shared pool; the pools of all later
+        # pairs are minted in pair order as one block
         need = [delta] * (n + 1)
-        for targets, donors in ((out1, alpha), (out2, beta)):
-            for j in targets - {v2}:
+        for v, donors in ((v1, alpha), (v2, beta)):
+            for j in out[v] - {v2}:
                 phi[j].append(donors[(j - v1) // 2 - 1])
                 need[j] -= 1
-        for o in range(v1 + 2, n, 2):
-            need_o, need_e = need[o], need[o + 1]
-            pool = list(islice(colors, max(need_o, need_e)))
-            phi[o] += pool[:need_o]
-            phi[o + 1] += pool[:need_e]
-            if o == v1 + 2:
-                v3_pads = pool[need_e:need_o]
+        needs = list(zip(need[v1 + 2::2], need[v1 + 3::2]))
+        block = list(islice(colors, sum(map(max, needs))))
+        start = 0
+        for o, (need_o, need_e) in zip(range(v1 + 2, n, 2), needs):
+            phi[o] += block[start:start + need_o]
+            phi[o + 1] += block[start:start + need_e]
+            start += need_o if need_o > need_e else need_e
+        v3_pads = block[needs[0][1]:needs[0][0]]
 
         if pair_arc and not lowered:
             _save_one_color(phi, v1, alpha[0], beta[0], bump, pattern, v3_pads)
