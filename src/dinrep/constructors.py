@@ -76,7 +76,7 @@ def pairing_construction(D: Digraph) -> Representation:
 
     n, half = D.n, D.n // 2
     order, out, colors = _positions(D)
-    # each position's list starts with its initial block, in minting order
+    # each position's list starts with its initial block, its donor colors
     phi = [[]] + [list(islice(colors, size)) for size in initial_block_sizes(n)]
 
     # one private donor color per arc-carrying later pair; a vertex in pair

@@ -197,7 +197,7 @@ def from_edge_list(text: str) -> Digraph:
         return Digraph(n, arcs)
     except (SelfLoopError, VertexRangeError) as exc:
         # the first arc that is a self-loop or out of range is the one named
-        bad = (t == h or not 1 <= min(t, h) <= max(t, h) <= n for t, h in arcs)
+        bad = (t == h or not (1 <= t <= n and 1 <= h <= n) for t, h in arcs)
         lineno = next(line for line, wrong in zip(linenos, bad) if wrong)
         raise type(exc)(f"line {lineno}: {exc}") from None
 
