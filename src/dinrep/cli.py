@@ -15,7 +15,7 @@ Every path argument accepts '-' for standard input or output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import sys
 
@@ -34,7 +34,7 @@ from .digraph import (
     to_edge_list,
 )
 from .errors import BudgetExhaustedError, CyclicGraphError
-from .representation import Representation, rep_from_json, rep_to_json, verify
+from .representation import Representation, rep_from_json, rep_to_json, rep_to_obj, verify
 from .solver import (
     BUDGET_EXHAUSTED,
     DEFAULT_BUDGET,
@@ -147,10 +147,10 @@ def _cmd_din(args) -> int:
             "elapsed": result.elapsed,
             "best_upper": result.best_upper,
             "best_lower": best_lower,
-            "levels": [dataclasses.asdict(level) for level in result.levels],
+            "levels": [vars(level) for level in result.levels],
         }
         if result.witness is not None:
-            obj["witness"] = json.loads(rep_to_json(result.witness))
+            obj["witness"] = rep_to_obj(result.witness)
         print(json.dumps(obj, sort_keys=True))
     # the witness goes out after the JSON line and before the text line, so
     # '-w -' keeps its place on stdout in both modes
@@ -202,7 +202,10 @@ _FORMULAS = {
 def _cmd_bound(args) -> int:
     n = args.n
     if args.formula == "p-intersection":  # n is read as the base din value
-        rows = [(args.formula, bounds_mod.p_intersection_upper_bound(n, args.p))]
+        p = 1 if args.p is None else args.p
+        rows = [(args.formula, bounds_mod.p_intersection_upper_bound(n, p))]
+    elif args.p is not None:
+        raise ValueError("--p applies only to --formula p-intersection")
     elif args.formula is not None:
         rows = [(args.formula, _FORMULAS[args.formula](n))]
     else:
@@ -219,6 +222,7 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first main call; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dinrep",
@@ -263,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="evaluate the closed-form formulas")
     p.add_argument("n", type=int)
     p.add_argument("--formula", choices=(*_FORMULAS, "p-intersection"), default=None)
-    p.add_argument("--p", type=int, default=1, help="p for the p-intersection formula")
+    p.add_argument("--p", type=int, default=None, help="p for the p-intersection formula (default 1)")
     p.set_defaults(func=_cmd_bound)
 
     return parser

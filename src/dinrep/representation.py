@@ -164,14 +164,18 @@ def canonicalize(rep: Representation) -> Representation:
     return Representation(rep.n, tuple(frozenset(mapping[c] for c in s) for s in rep.color_sets))
 
 
-def rep_to_json(rep: Representation) -> str:
-    """Serialize as {"n":…, "phi": {"1": [...], …}, "palette_size":…}."""
-    obj = {
+def rep_to_obj(rep: Representation) -> dict:
+    """The JSON form as a dict: {"n":…, "phi": {"1": [...], …}, "palette_size":…}."""
+    return {
         "n": rep.n,
         "phi": {str(v): sorted(rep.color_set(v)) for v in range(1, rep.n + 1)},
         "palette_size": rep.palette_size,
     }
-    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def rep_to_json(rep: Representation) -> str:
+    """Serialize ``rep_to_obj(rep)`` with sorted keys, one line."""
+    return json.dumps(rep_to_obj(rep), sort_keys=True) + "\n"
 
 
 def rep_from_json(text: str) -> Representation:

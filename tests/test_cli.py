@@ -1,9 +1,14 @@
 """Command-line behavior: outputs, exit codes, round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dinrep
 from dinrep import gen_family, to_edge_list
 from dinrep.cli import _build_parser, main
 from dinrep.solver import DEFAULT_BUDGET, max_search_vertices
@@ -353,8 +358,47 @@ class TestBound:
     def test_domain_error(self, capsys):
         assert run(capsys, "bound", "1")[0] == 2
 
+    @pytest.mark.parametrize("formula", [[], ["--formula", "general"]])
+    def test_p_without_p_intersection_exit_2(self, capsys, formula):
+        code, stdout, err = run(capsys, "bound", "5", "--p", "3", *formula)
+        assert code == 2 and stdout == ""
+        assert err == "error: --p applies only to --formula p-intersection\n"
+
 
 class TestBudgetDefault:
     @pytest.mark.parametrize("argv", [["din", "g.txt"], ["extremal", "5"]])
     def test_is_the_solver_default(self, argv):
         assert _build_parser().parse_args(argv).budget_nodes == DEFAULT_BUDGET.max_nodes
+
+
+def _fresh_process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(dinrep.__file__).parents[1]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaves state behind."""
+
+    def test_built_once_on_the_first_call(self):
+        assert _build_parser() is _build_parser()
+        probe = "import dinrep.cli as c; print(c._build_parser.cache_info().currsize)"
+        assert _fresh_process("-c", probe).stdout == "0\n"
+
+    def test_no_argument_carries_over(self, capsys, tmp_path):
+        g, w = tmp_path / "p3.g", tmp_path / "w.json"
+        g.write_text(to_edge_list(gen_family("directed_path", 3)))
+        code, stdout, _ = run(capsys, "din", str(g), "--json", "-w", str(w))
+        assert code == 0 and json.loads(stdout)["din"] == 4 and w.exists()
+        w.unlink()
+        assert run(capsys, "din", str(g)) == (0, "DIN = 4\n", "")
+        assert not w.exists()
+
+    def test_usage_error_then_a_good_call(self, capsys, tmp_path):
+        g = tmp_path / "sap4.g"
+        g.write_text(to_edge_list(gen_family("source_arc_path", 4)))
+        with pytest.raises(SystemExit) as exc:
+            main(["din"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: graph" in capsys.readouterr().err
+        fresh = _fresh_process("-m", "dinrep", "din", str(g))
+        assert run(capsys, "din", str(g)) == (fresh.returncode, fresh.stdout, fresh.stderr)
