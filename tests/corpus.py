@@ -73,3 +73,10 @@ def all_forward_digraphs(n: int):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for mask in range(1 << len(pairs)):
         yield Digraph(n, {pairs[b] for b in range(len(pairs)) if (mask >> b) & 1})
+
+
+def class_work(result) -> bytes:
+    """Each level's palette size, size functions and class nodes
+    (``nodes - size_nodes``) of an ``exact_din`` result, as one line to
+    hash.  A prune of size enumeration alone leaves them as they are."""
+    return f"{[(lv.k, lv.size_functions, lv.nodes - lv.size_nodes) for lv in result.levels]}\n".encode()

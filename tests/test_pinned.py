@@ -25,9 +25,11 @@ from corpus import all_forward_digraphs, connected_dag_corpus, random_dag
 CONSTRUCTIONS_SHA256 = "5f5baf647b076b288d0e79af2184c005c720f897303cd2046244f035530d1a54"
 BOUND_LISTING_SHA256 = "9889e696d78a79b88c7bafa46e0e722543275c280934e549e87395b18a628796"
 CONSTRUCT_CLI_SHA256 = "00a487f49e35d6a321f7f1283c6fdad4843b82882ccab10bbb23ac0829e1d45f"
-# taken before the CLI built its parser once per process and dumped the din
-# --json levels and witness without copies or a JSON round trip
-DIN_CLI_SHA256 = "f10d61e802f51afcf18547eae511c3da848292dc268991deed0d2418bf9368ec"
+# din --json and its witness file without the node counts, and the node
+# counts alone; both taken before size enumeration checked the neighbourhood
+# bound on partial neighbourhoods, which may lower only the node counts
+DIN_CLI_SHA256 = "e339515cfacef90bf94c692e940abe6252cdb132f591452db538c772d9f93a87"
+DIN_CLI_NODES_SHA256 = "979c93884c316f67c31e2737c0a94d777da86699224985830844cab30a9698fa"
 # taken before the constructions read arcs from per-position out-neighbour sets
 N400_CONSTRUCTIONS_SHA256 = "6becade28142f3c1ff997f3544fbc4b64fb42069afe1067f6326e50251e49d61"
 
@@ -103,11 +105,13 @@ def test_construct_output(capsys, tmp_path):
 
 def test_din_output(capsys, tmp_path):
     # the exit code, the --json line and the -w witness file; the timings
-    # (elapsed and each level's seconds) are dropped
+    # (elapsed and each level's seconds) are dropped, and the node counts
+    # (nodes_explored and each level's nodes and size_nodes) go to a digest
+    # of their own
     graphs = list(all_forward_digraphs(4)) + [gen_family("fig3_tree_large")]
     graphs += [gen_family("directed_path", 8), gen_family("source_arc_path", 8)]
     graphs += connected_dag_corpus(7, 3, 1)
-    digest = hashlib.sha256()
+    digest, nodes = hashlib.sha256(), hashlib.sha256()
     g, w = tmp_path / "g.txt", tmp_path / "w.json"
     for D in graphs:
         g.write_text(to_edge_list(D))
@@ -115,8 +119,12 @@ def test_din_output(capsys, tmp_path):
         code = main(["din", str(g), "--json", "-w", str(w)])
         obj = json.loads(capsys.readouterr().out)
         del obj["elapsed"]
+        counts = [obj.pop("nodes_explored")]
         for level in obj["levels"]:
             del level["seconds"]
+            counts += level.pop("nodes"), level.pop("size_nodes")
         witness = w.read_text() if w.exists() else ""
         digest.update(f"{code}\n{json.dumps(obj, sort_keys=True)}\n{witness}".encode())
+        nodes.update(f"{counts}\n".encode())
     assert digest.hexdigest() == DIN_CLI_SHA256
+    assert nodes.hexdigest() == DIN_CLI_NODES_SHA256

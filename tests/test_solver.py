@@ -575,6 +575,19 @@ class TestPinnedNodeCounts:
         assert _levels(result) == _no_work(3) + [(4, 4, 4, 0), (5, 13, 11, 1), (6, 13, 7, 1)]
         assert result.nodes_explored == 30
 
+    def test_neighbours_sized_before_the_last(self):
+        # vertex 7 comes first in the order and its five neighbours fill the
+        # next five positions, so its neighbourhood bound can fire before the
+        # last of them is sized
+        D = Digraph(8, {(2, 1), (4, 1), (4, 6), (5, 2), (7, 3), (7, 4), (7, 5), (7, 6),
+                        (7, 8), (8, 2), (8, 5)})
+        result = exact_din(D)
+        assert _levels(result) == _no_work(5) + [
+            (6, 4, 4, 0), (7, 7, 7, 0), (8, 18, 18, 0), (9, 43, 43, 0), (10, 85, 85, 0),
+            (11, 138, 138, 0), (12, 236, 236, 0), (13, 432, 385, 2), (14, 407, 388, 1),
+        ]
+        assert result.nodes_explored == 1370
+
     def test_source_arc_path_eight_total(self):
         result = exact_din(gen_family("source_arc_path", 8), SolveBudget(max_nodes=1_000_000))
         assert result.status == OPTIMAL
