@@ -246,12 +246,16 @@ class _Search:
         cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if small else []
         self.root_checks, self.checks = _clique_chains(n, cliques, reach)
         self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
-        # per position p: the vertices that p is the last of, among them and
-        # their neighbors, with more neighbors than their least size
+        # per position p: each sized vertex w that is p or a neighbor of p,
+        # with its neighbors up to p as a list and a mask, when they outnumber
+        # w's least size
         self.crowds = [[] for _ in range(n)]
         for w in range(n):
-            if small and adj[w].bit_count() > self.floor[w]:
-                self.crowds[max(w, adj[w].bit_length() - 1)].append((w, _bits(adj[w])))
+            near = _bits(adj[w]) if small and adj[w].bit_count() > self.floor[w] else []
+            for p in [w] + near:
+                prefix = adj[w] & ((2 << p) - 1)
+                if p >= w and prefix.bit_count() > self.floor[w]:
+                    self.crowds[p].append((w, near[:prefix.bit_count()], prefix))
         self.nodes = 0
         self.max_nodes = max_nodes
         self.size_nodes = 0
@@ -358,12 +362,12 @@ class _Search:
         share no color, being non-adjacent and of different sizes, than its
         size: it meets each through a color of its own."""
         sizes, adj = self.sizes, self.adj
-        for w, near in crowd:
+        for w, near, prefix in crowd:
             if len({sizes[x] for x in near}) <= sizes[w]:
                 continue
             apart = {x: sum(1 << y for y in near if sizes[y] != sizes[x] and not adj[x] >> y & 1)
                      for x in near}
-            if _largest(adj[w], apart, 0, sizes[w]) > sizes[w]:
+            if _largest(prefix, apart, 0, sizes[w]) > sizes[w]:
                 return True
         return False
 

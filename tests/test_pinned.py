@@ -25,11 +25,11 @@ from corpus import all_forward_digraphs, connected_dag_corpus, random_dag
 CONSTRUCTIONS_SHA256 = "5f5baf647b076b288d0e79af2184c005c720f897303cd2046244f035530d1a54"
 BOUND_LISTING_SHA256 = "9889e696d78a79b88c7bafa46e0e722543275c280934e549e87395b18a628796"
 CONSTRUCT_CLI_SHA256 = "00a487f49e35d6a321f7f1283c6fdad4843b82882ccab10bbb23ac0829e1d45f"
-# din --json and its witness file without the node counts, and the node
-# counts alone; both taken before size enumeration checked the neighbourhood
-# bound on partial neighbourhoods, which may lower only the node counts
+# din --json and its witness file without the node counts, taken before size
+# enumeration checked the neighbourhood bound on partial neighbourhoods; the
+# node counts alone, taken again after it, since that lowers only them
 DIN_CLI_SHA256 = "e339515cfacef90bf94c692e940abe6252cdb132f591452db538c772d9f93a87"
-DIN_CLI_NODES_SHA256 = "979c93884c316f67c31e2737c0a94d777da86699224985830844cab30a9698fa"
+DIN_CLI_NODES_SHA256 = "9d91aa675bfed1ba59545882dd78ccf19ab33ec48dac64a03a45e7842a5d8e53"
 # taken before the constructions read arcs from per-position out-neighbour sets
 N400_CONSTRUCTIONS_SHA256 = "6becade28142f3c1ff997f3544fbc4b64fb42069afe1067f6326e50251e49d61"
 
