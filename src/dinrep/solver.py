@@ -25,7 +25,10 @@ vertex order (all in-neighbors of a vertex precede it):
   the ones above the clique's largest size are new distinct sizes, which
   must fit in its slack.  Neighbors of v that are pairwise non-adjacent
   and of different sizes share no color, so v meets each through a color
-  of its own: once v and its neighbors are sized, at most s(v) of them.
+  of its own: at most s(v) of them.  Sized neighbors stay so whatever
+  sizes follow, and v's in-neighbors are all smaller than v, so this is
+  checked at v's second and each later out-neighbor, over the neighbors
+  sized by then.
 
 * decide each complete size function by color classes, the holders of one
   color.  Two members of a class are adjacent or of equal size, and s is
@@ -246,16 +249,15 @@ class _Search:
         cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if small else []
         self.root_checks, self.checks = _clique_chains(n, cliques, reach)
         self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
-        # per position p: each sized vertex w that is p or a neighbor of p,
-        # with its neighbors up to p as a list and a mask, when they outnumber
-        # w's least size
+        # per position p: each in-neighbor w of p, with its neighbors up to p
+        # as a list and as a mask.  Only prefixes that can outnumber s(w) are
+        # kept: more members than floor[w], and at least two out-neighbors,
+        # since the in-neighbors of w take sizes below s(w)
         self.crowds = [[] for _ in range(n)]
         for w in range(n):
-            near = _bits(adj[w]) if small and adj[w].bit_count() > self.floor[w] else []
-            for p in [w] + near:
-                prefix = adj[w] & ((2 << p) - 1)
-                if p >= w and prefix.bit_count() > self.floor[w]:
-                    self.crowds[p].append((w, near[:prefix.bit_count()], prefix))
+            near = _bits(adj[w]) if small else []
+            for i in range(max(len(self.in_prev[w]) + 1, self.floor[w]), len(near)):
+                self.crowds[near[i]].append((w, near[:i + 1], adj[w] & ((2 << near[i]) - 1)))
         self.nodes = 0
         self.max_nodes = max_nodes
         self.size_nodes = 0
@@ -358,9 +360,10 @@ class _Search:
         return False
 
     def _crowded(self, crowd) -> bool:
-        """Whether a vertex in ``crowd`` has more neighbors that pairwise
-        share no color, being non-adjacent and of different sizes, than its
-        size: it meets each through a color of its own."""
+        """Whether a vertex in ``crowd`` has more sized neighbors, among
+        those its entry lists, that pairwise share no color, being
+        non-adjacent and of different sizes, than its size: it meets each
+        through a color of its own, whatever sizes follow."""
         sizes, adj = self.sizes, self.adj
         for w, near, prefix in crowd:
             if len({sizes[x] for x in near}) <= sizes[w]:
