@@ -249,13 +249,13 @@ class _Search:
         cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if small else []
         self.root_checks, self.checks = _clique_chains(n, cliques, reach)
         self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
-        # per position p: each in-neighbor w of p, with its neighbors up to p
-        # as a list and as a mask.  Only prefixes that can outnumber s(w) are
-        # kept: more members than floor[w], and at least two out-neighbors,
-        # since the in-neighbors of w take sizes below s(w)
+        # per position p: each in-neighbor w of p, with w's neighbors up to p
+        # in order and as a mask.  Only prefixes that can outnumber s(w) are
+        # kept: more members than floor[w], and two out-neighbors or more,
+        # since w's in-neighbors all take sizes below s(w)
         self.crowds = [[] for _ in range(n)]
         for w in range(n):
-            near = _bits(adj[w]) if small else []
+            near = self.in_prev[w] + self.out_next[w] if small else ()
             for i in range(max(len(self.in_prev[w]) + 1, self.floor[w]), len(near)):
                 self.crowds[near[i]].append((w, near[:i + 1], adj[w] & ((2 << near[i]) - 1)))
         self.nodes = 0
