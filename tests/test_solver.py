@@ -1,6 +1,7 @@
 """Exact search: fixtures, certificates, properties, budgets, enumeration."""
 
 import itertools
+import random
 import sys
 
 import pytest
@@ -363,6 +364,18 @@ def _sets(text):
 # the n = 6 extremal mask 21045 plus a sink 7 with in-neighbors {2, 4}
 H7 = Digraph(7, {(1, 2), (1, 4), (1, 6), (2, 3), (2, 7), (3, 4), (4, 5), (4, 7), (5, 6)})
 
+# vertex 7 comes first in the order and its five neighbours fill the next
+# five positions, so its neighbourhood bound can fire before the last of
+# them is sized
+CROWDED8 = Digraph(8, {(2, 1), (4, 1), (4, 6), (5, 2), (7, 3), (7, 4), (7, 5), (7, 6),
+                       (7, 8), (8, 2), (8, 5)})
+
+
+def _position_arcs(search, D):
+    """D's arcs as pairs of positions in the search's vertex order."""
+    pos = {v: i for i, v in enumerate(search.order)}
+    return {(pos[u], pos[v]) for u, v in D.arcs}
+
 
 class TestColorCountingBounds:
     """The size floor and the class search's clique bound only cut subtrees
@@ -498,6 +511,88 @@ class TestNeighbourBound:
     def test_families(self, monkeypatch, D):
         self._pair(monkeypatch, D)
 
+    @staticmethod
+    def _by_definition(arcs, sizes, w, p):
+        """Whether more than sizes[w] of w's neighbours at positions up to p
+        are pairwise non-adjacent and of pairwise different sizes."""
+        near = [x for x in range(p + 1) if (w, x) in arcs or (x, w) in arcs]
+        return any(
+            all(sizes[x] != sizes[y] and (x, y) not in arcs and (y, x) not in arcs
+                for x, y in itertools.combinations(group, 2))
+            for r in range(sizes[w] + 1, len(near) + 1)
+            for group in itertools.combinations(near, r)
+        )
+
+    def _check_crowds(self, D, seeds):
+        """Each crowd entry fires exactly when the definition does, under
+        sizes drawn at or above the static floors, and every (w, p) where the
+        definition can fire has an entry: p is w's second or later
+        out-neighbour.  Returns how many entries fired."""
+        search = solver._Search(D, 1)
+        arcs = _position_arcs(search, D)
+        late = {(w, p) for w in range(D.n)
+                for p in sorted(j for i, j in arcs if i == w)[1:]}
+        assert {(e[0], p) for p, crowd in enumerate(search.crowds) for e in crowd} <= late
+        fired = 0
+        for seed in seeds:
+            rng = random.Random(seed)
+            sizes = search.sizes = [f + rng.randrange(3) for f in search.floor]
+            for w, p in late:
+                entries = [e for e in search.crowds[p] if e[0] == w]
+                assert len(entries) <= 1, (sorted(D.arcs), w, p)
+                got = any(search._crowded([e]) for e in entries)
+                assert got == self._by_definition(arcs, sizes, w, p), (sorted(D.arcs), sizes, w, p)
+                fired += got
+        return fired
+
+    def test_crowds_match_the_definition_on_five_vertices(self):
+        assert sum(self._check_crowds(D, range(3)) for D in all_forward_digraphs(5)) > 0
+
+    def test_crowds_match_the_definition_before_the_last_neighbour(self):
+        assert self._check_crowds(CROWDED8, range(40)) > 0
+
+
+class TestSetUp:
+    """The search's tables, checked against a direct computation from the
+    arcs."""
+
+    def test_tables_match_the_arcs(self):
+        rng = random.Random(11)
+        for F in all_forward_digraphs(5):
+            label = rng.sample(range(1, 6), 5)
+            D = Digraph(5, {(label[u - 1], label[v - 1]) for u, v in F.arcs})
+            search = solver._Search(D, 1)
+            arcs = _position_arcs(search, D)
+            n = D.n
+            assert all(i < j for i, j in arcs), sorted(D.arcs)
+
+            def descendants(i):
+                out = set()
+                for j in range(n):
+                    if (i, j) in arcs:
+                        out |= {j} | descendants(j)
+                return out
+
+            def height(i):
+                return max((height(j) + 1 for j in range(n) if (i, j) in arcs), default=0)
+
+            assert search.adj == [sum(1 << j for j in range(n) if (i, j) in arcs or (j, i) in arcs)
+                                  for i in range(n)], sorted(D.arcs)
+            assert search.in_prev == [tuple(q for q in range(n) if (q, i) in arcs)
+                                      for i in range(n)], sorted(D.arcs)
+            assert search.below == [tuple(sorted(descendants(i))) for i in range(n)], sorted(D.arcs)
+            assert search.h_out == [height(i) for i in range(n)], sorted(D.arcs)
+
+    def test_no_clique_tables_above_the_prune_limit(self):
+        # above 24 vertices the clique list is empty, and with it the chains
+        # and the neighbourhood bound's entries
+        search = solver._Search(gen_family("directed_path", 25), 1)
+        assert search.cliques == []
+        assert search.root_checks == []
+        assert search.checks == [[]] * 25
+        assert search.crowds == [[]] * 25
+        assert search.floor == list(range(1, 26))
+
 
 def _sink_extension(mask, in_set):
     """The n = 6 DAG of ``mask`` plus a sink 7 with in-neighbors ``in_set``."""
@@ -576,12 +671,7 @@ class TestPinnedNodeCounts:
         assert result.nodes_explored == 29
 
     def test_neighbours_sized_before_the_last(self):
-        # vertex 7 comes first in the order and its five neighbours fill the
-        # next five positions, so its neighbourhood bound can fire before the
-        # last of them is sized
-        D = Digraph(8, {(2, 1), (4, 1), (4, 6), (5, 2), (7, 3), (7, 4), (7, 5), (7, 6),
-                        (7, 8), (8, 2), (8, 5)})
-        result = exact_din(D)
+        result = exact_din(CROWDED8)
         assert _levels(result) == _no_work(5) + [
             (6, 4, 4, 0), (7, 5, 5, 0), (8, 12, 12, 0), (9, 18, 18, 0), (10, 34, 34, 0),
             (11, 51, 51, 0), (12, 81, 81, 0), (13, 179, 132, 2), (14, 49, 30, 1),
