@@ -25,10 +25,12 @@ vertex order (all in-neighbors of a vertex precede it):
   the ones above the clique's largest size are new distinct sizes, which
   must fit in its slack.  Neighbors of v that are pairwise non-adjacent
   and of different sizes share no color, so v meets each through a color
-  of its own: at most s(v) of them.  Sized neighbors stay so whatever
-  sizes follow, and v's in-neighbors are all smaller than v, so this is
-  checked at v's second and each later out-neighbor, over the neighbors
-  sized by then.
+  of its own: at most s(v) of them.  Such neighbors lie in one maximal
+  non-adjacent clique, so the neighbors of v in each clique may take at
+  most s(v) distinct sizes.  Sized neighbors stay so whatever sizes
+  follow, and v's in-neighbors are all smaller than v, so this is checked
+  at v's second and each later out-neighbor, over the neighbors sized by
+  then.
 
 * decide each complete size function by color classes, the holders of one
   color.  Two members of a class are adjacent or of equal size, and s is
@@ -167,23 +169,18 @@ def _largest(cand: int, apart, size: int, best: int) -> int:
     return max(best, size)
 
 
-def _size_floors(in_prev: list[tuple[int, ...]], out_next: list[tuple[int, ...]],
-                 adj: list[int]) -> list[int]:
+def _size_floors(in_prev: list[tuple[int, ...]], reach: list[int], adj: list[int]) -> list[int]:
     """Least size of each vertex in any size function, at least 1.
 
     A vertex exceeds its in-neighbors, and it needs one color per member
     of the largest set of its neighbors that are pairwise non-adjacent and
     joined by a path: sizes increase along paths, so such neighbors differ
     in size, share no color, and meet the vertex through distinct colors.
+    ``reach`` holds each vertex's descendants as a mask.
     """
     n = len(adj)
     # per vertex: the descendants it is not adjacent to
-    apart = [0] * n
-    reach = [0] * n
-    for i in range(n - 1, -1, -1):
-        for j in out_next[i]:
-            reach[i] |= (1 << j) | reach[j]
-        apart[i] = reach[i] & ~adj[i]
+    apart = [r & ~a for r, a in zip(reach, adj)]
     floor = [_largest(a, apart, 0, 0) if n <= _PRUNE_MAX_VERTICES else 0 for a in adj]
     for i in range(n):
         floor[i] = max(floor[i], max((floor[q] + 1 for q in in_prev[i]), default=1))
@@ -229,35 +226,39 @@ class _Search:
         self.n = n
         self.order = left_to_right_order(D)
         posmap = {v: i for i, v in enumerate(self.order)}
-        arcs = {(posmap[u], posmap[v]) for u, v in D.arcs}
-        self.in_prev = [tuple(q for q in range(i) if (q, i) in arcs) for i in range(n)]
-        self.out_next = [tuple(j for j in range(i + 1, n) if (i, j) in arcs) for i in range(n)]
         adj = self.adj = [0] * n
-        for i, j in arcs:
+        for u, v in D.arcs:
+            i, j = posmap[u], posmap[v]
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        self.floor = _size_floors(self.in_prev, self.out_next, adj)
-        h_out = [0] * n
+        # every arc points to a later position
+        self.in_prev = [tuple(_bits(a & ((1 << i) - 1))) for i, a in enumerate(adj)]
+        out_next = [_bits(a & ~((2 << i) - 1)) for i, a in enumerate(adj)]
+        h_out = self.h_out = [0] * n
         reach = [0] * n
         for i in range(n - 1, -1, -1):
-            h_out[i] = max((h_out[j] + 1 for j in self.out_next[i]), default=0)
-            for j in self.out_next[i]:
+            for j in out_next[i]:
+                h_out[i] = max(h_out[i], h_out[j] + 1)
                 reach[i] |= (1 << j) | reach[j]
-        self.h_out = h_out
-        self.below = [tuple(w for w in range(i + 1, n) if (reach[i] >> w) & 1) for i in range(n)]
-        small = n <= _PRUNE_MAX_VERTICES
-        cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if small else []
+        floor = self.floor = _size_floors(self.in_prev, reach, adj)
+        self.below = [tuple(_bits(r)) for r in reach]
+        cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if n <= _PRUNE_MAX_VERTICES else []
         self.root_checks, self.checks = _clique_chains(n, cliques, reach)
         self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
-        # per position p: each in-neighbor w of p, with w's neighbors up to p
-        # in order and as a mask.  Only prefixes that can outnumber s(w) are
-        # kept: more members than floor[w], and two out-neighbors or more,
-        # since w's in-neighbors all take sizes below s(w)
+        # per position p: each vertex w whose second or later out-neighbor is
+        # p, with the distinct sets that the maximal non-adjacent cliques cut
+        # from w's neighbors up to p; pairwise non-adjacent neighbors lie in
+        # one of them.  w's in-neighbors all take sizes below s(w), so an
+        # earlier prefix cannot outnumber s(w); nor can a set of at most
+        # floor[w] members, so only larger sets are kept
         self.crowds = [[] for _ in range(n)]
         for w in range(n):
-            near = self.in_prev[w] + self.out_next[w] if small else ()
-            for i in range(max(len(self.in_prev[w]) + 1, self.floor[w]), len(near)):
-                self.crowds[near[i]].append((w, near[:i + 1], adj[w] & ((2 << near[i]) - 1)))
+            for p in out_next[w][1:]:
+                prefix = adj[w] & ((2 << p) - 1)
+                groups = tuple(tuple(_bits(g)) for g in {c & prefix for c in cliques}
+                               if g.bit_count() > floor[w])
+                if groups:
+                    self.crowds[p].append((w, groups))
         self.nodes = 0
         self.max_nodes = max_nodes
         self.size_nodes = 0
@@ -360,19 +361,14 @@ class _Search:
         return False
 
     def _crowded(self, crowd) -> bool:
-        """Whether a vertex in ``crowd`` has more sized neighbors, among
-        those its entry lists, that pairwise share no color, being
-        non-adjacent and of different sizes, than its size: it meets each
-        through a color of its own, whatever sizes follow."""
-        sizes, adj = self.sizes, self.adj
-        for w, near, prefix in crowd:
-            if len({sizes[x] for x in near}) <= sizes[w]:
-                continue
-            apart = {x: sum(1 << y for y in near if sizes[y] != sizes[x] and not adj[x] >> y & 1)
-                     for x in near}
-            if _largest(prefix, apart, 0, sizes[w]) > sizes[w]:
-                return True
-        return False
+        """Whether a vertex in ``crowd`` has sized neighbors of more distinct
+        sizes than its own in one of its listed sets.  A set lies in a
+        non-adjacent clique, so one neighbor of each size is pairwise
+        non-adjacent with the others and shares no color with them: the
+        vertex meets each through a color of its own, whatever sizes
+        follow."""
+        sizes = self.sizes
+        return any(len({sizes[x] for x in g}) > sizes[w] for w, groups in crowd for g in groups)
 
     def _start_classes(self) -> bool:
         # per size function: each class taken as the mask of its holders
@@ -495,13 +491,14 @@ def _search_for(D: Digraph, budget: SolveBudget | None) -> _Search | None:
 
 
 def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
-    """Exact minimum palette size, with a verified witness.
+    """Exact minimum palette size, with a witness valid by construction.
 
     Graphs too large for the recursive search raise ``SearchDepthError``
     first, cyclic or not; cyclic inputs are then reported infeasible
     immediately.  Otherwise the deepening loop proves every k below the
     answer infeasible, so an ``optimal`` result is a completeness
-    certificate as well as a witness.
+    certificate as well as a witness.  The witness is not re-checked here;
+    the test suite runs ``verify`` on it.
     When the budget runs out, ``best_upper`` carries the smaller
     constructor palette.  ``levels`` records the work at each k tried.
     """

@@ -382,7 +382,7 @@ class TestColorCountingBounds:
     without a representation, so the search finds the same first witness."""
 
     @staticmethod
-    def _path_floors(in_prev, out_next, adj):
+    def _path_floors(in_prev, reach, adj):
         floor = []
         for preds in in_prev:
             floor.append(max((floor[q] + 1 for q in preds), default=1))
@@ -414,7 +414,7 @@ class TestColorCountingBounds:
 
     def test_floor_is_at_least_one(self):
         # an isolated vertex has no neighbors to count, but still a color
-        assert solver._size_floors([()] * 3, [()] * 3, [0] * 3) == [1, 1, 1]
+        assert solver._size_floors([()] * 3, [0] * 3, [0] * 3) == [1, 1, 1]
 
     def test_floor_counts_disjoint_neighbors(self):
         # 2 and 4 are neighbors of 1, not adjacent, and joined by the path
