@@ -246,11 +246,10 @@ class _Search:
         self.root_checks, self.checks = _clique_chains(n, cliques, reach)
         self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
         # per position p: each vertex w whose second or later out-neighbor is
-        # p, with the distinct sets that the maximal non-adjacent cliques cut
-        # from w's neighbors up to p; pairwise non-adjacent neighbors lie in
-        # one of them.  w's in-neighbors all take sizes below s(w), so an
-        # earlier prefix cannot outnumber s(w); nor can a set of at most
-        # floor[w] members, so only larger sets are kept
+        # p, with the distinct sets the maximal non-adjacent cliques cut from
+        # w's neighbors up to p.  Neither an earlier prefix (w's in-neighbors,
+        # all smaller than w, and one more) nor a set of at most floor[w]
+        # members can outnumber s(w)
         self.crowds = [[] for _ in range(n)]
         for w in range(n):
             for p in out_next[w][1:]:
@@ -497,8 +496,7 @@ def exact_din(D: Digraph, budget: SolveBudget | None = None) -> SolveResult:
     first, cyclic or not; cyclic inputs are then reported infeasible
     immediately.  Otherwise the deepening loop proves every k below the
     answer infeasible, so an ``optimal`` result is a completeness
-    certificate as well as a witness.  The witness is not re-checked here;
-    the test suite runs ``verify`` on it.
+    certificate as well as a witness.
     When the budget runs out, ``best_upper`` carries the smaller
     constructor palette.  ``levels`` records the work at each k tried.
     """
