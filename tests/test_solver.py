@@ -28,7 +28,7 @@ from dinrep import (
     verify,
 )
 from dinrep import solver
-from corpus import all_forward_digraphs, connected_dag_corpus, independent_validity
+from corpus import all_forward_digraphs, connected_dag_corpus, independent_validity, random_dag
 
 TRIANGLE = Digraph(3, {(1, 2), (2, 3), (3, 1)})
 
@@ -423,6 +423,69 @@ class TestColorCountingBounds:
         D = Digraph(4, {(1, 2), (2, 3), (3, 4), (1, 4)})
         search = solver._Search(D, 10)
         assert search.floor == [2, 3, 4, 5]
+
+    @staticmethod
+    def _floors_by_definition(D):
+        """Each position's floor from the definition: 1, one more than each
+        in-neighbour's floor, and the largest set of its neighbours that are
+        pairwise non-adjacent and joined by a directed path."""
+        search = solver._Search(D, 1)
+        arcs = _position_arcs(search, D)
+        n = D.n
+        reach = [set() for _ in range(n)]
+        for i in range(n - 1, -1, -1):
+            for j in range(i + 1, n):
+                if (i, j) in arcs:
+                    reach[i] |= {j} | reach[j]
+
+        def apart(x, y):
+            return (x, y) not in arcs and (y, x) not in arcs and (y in reach[x] or x in reach[y])
+
+        def largest(group, rest):
+            return max([len(group)] + [largest(group + [x], rest[at + 1:])
+                                       for at, x in enumerate(rest)
+                                       if all(apart(x, y) for y in group)])
+
+        floor = []
+        for i in range(n):
+            near = [x for x in range(n) if (i, x) in arcs or (x, i) in arcs]
+            floor.append(max([1, largest([], near)] + [floor[q] + 1 for q in range(i) if (q, i) in arcs]))
+        return search.floor, floor
+
+    def test_floor_matches_the_definition(self):
+        rng = random.Random(17)
+        graphs = [H7, CROWDED8]
+        for F in all_forward_digraphs(5):
+            label = rng.sample(range(1, 6), 5)
+            graphs.append(Digraph(5, {(label[u - 1], label[v - 1]) for u, v in F.arcs}))
+        graphs += [random_dag(rng, rng.randint(9, 12), rng.uniform(0.2, 0.5)) for _ in range(6)]
+        for D in graphs:
+            got, want = self._floors_by_definition(D)
+            assert got == want, sorted(D.arcs)
+
+    def test_clique_demand_matches_the_definition(self, monkeypatch):
+        """After every class the search keeps, each clique's demand is the
+        largest need of each of its sizes, summed."""
+        over_demand = solver._Search._over_demand
+        checked = 0
+
+        def checking(self, *args):
+            nonlocal checked
+            over = over_demand(self, *args)
+            if not over:
+                for c, q in enumerate(self.cliques):
+                    most = {}
+                    for w in range(self.n):
+                        if (q >> w) & 1:
+                            most[self.sizes[w]] = max(most.get(self.sizes[w], 0), self.need[w])
+                    assert self.demand[c] == sum(most.values()), (self.sizes, self.need, c)
+                checked += 1
+            return over
+
+        monkeypatch.setattr(solver._Search, "_over_demand", checking)
+        for D in [H7, *all_forward_digraphs(5)]:
+            assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
+        assert checked > 0
 
     def test_source_arc_path_eight_certifies(self):
         D = gen_family("source_arc_path", 8)
