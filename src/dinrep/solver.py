@@ -12,7 +12,9 @@ vertex order (all in-neighbors of a vertex precede it):
   k minus the longest path leaving v.  The floor exceeds every
   in-neighbor's floor and is at least the largest set of neighbors of v
   that are pairwise non-adjacent and joined by a path: those differ in
-  size, share no color, and v meets each through a color of its own.
+  size, share no color, and v meets each through a color of its own.  Such
+  a set lies in one maximal non-adjacent clique as a chain, so it is the
+  tallest chain that a clique cuts from v's neighbors.
   Pairwise non-adjacent vertices of distinct sizes have disjoint sets, so
   in every maximal non-adjacent clique the distinct sizes sum to at most
   k: each vertex takes only the sizes that each clique through it already
@@ -73,9 +75,9 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 # phase recurses once per vertex on top of them
 _FRAME_RESERVE = 150
 
-# the clique bounds and the size floor's set search are optional for
-# correctness; above this many vertices their enumerations could blow up, so
-# they are skipped
+# the maximal non-adjacent cliques carry every color-counting bound, which
+# correctness does not need; above this many vertices their enumeration could
+# blow up, so none is listed
 _PRUNE_MAX_VERTICES = 24
 
 
@@ -159,34 +161,6 @@ def _maximal_nonadjacent_cliques(n: int, adj: list[int]) -> list[int]:
     return out
 
 
-def _largest(cand: int, apart, size: int, best: int) -> int:
-    """Largest count of ``size`` members plus members of ``cand``, each in
-    the ``apart`` mask of every one taken before it, or ``best`` if larger."""
-    while cand and size + cand.bit_count() > best:
-        low = cand & -cand
-        cand ^= low
-        best = _largest(cand & apart[low.bit_length() - 1], apart, size + 1, best)
-    return max(best, size)
-
-
-def _size_floors(in_prev: list[tuple[int, ...]], reach: list[int], adj: list[int]) -> list[int]:
-    """Least size of each vertex in any size function, at least 1.
-
-    A vertex exceeds its in-neighbors, and it needs one color per member
-    of the largest set of its neighbors that are pairwise non-adjacent and
-    joined by a path: sizes increase along paths, so such neighbors differ
-    in size, share no color, and meet the vertex through distinct colors.
-    ``reach`` holds each vertex's descendants as a mask.
-    """
-    n = len(adj)
-    # per vertex: the descendants it is not adjacent to
-    apart = [r & ~a for r, a in zip(reach, adj)]
-    floor = [_largest(a, apart, 0, 0) if n <= _PRUNE_MAX_VERTICES else 0 for a in adj]
-    for i in range(n):
-        floor[i] = max(floor[i], max((floor[q] + 1 for q in in_prev[i]), default=1))
-    return floor
-
-
 def _clique_chains(n: int, cliques: list[int], reach: list[int]) -> tuple[list, list[list]]:
     """The (clique, chain) pairs to check at the root and after each p.  A
     chain from a member is it, then the chain from the first later member it
@@ -218,6 +192,20 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _height(part: int, reach: list[int]) -> int:
+    """Longest chain of ``part`` under reachability (``reach`` holds each
+    vertex's descendants as a mask): the rounds of dropping the members
+    that no other member reaches (Mirsky 1971)."""
+    rounds = 0
+    while part:
+        reached = 0
+        for x in _bits(part):
+            reached |= reach[x]
+        part &= reached
+        rounds += 1
+    return rounds
+
+
 class _Search:
     """Search state for one digraph; reusable across deepening levels."""
 
@@ -240,11 +228,18 @@ class _Search:
             for j in out_next[i]:
                 h_out[i] = max(h_out[i], h_out[j] + 1)
                 reach[i] |= (1 << j) | reach[j]
-        floor = self.floor = _size_floors(self.in_prev, reach, adj)
         self.below = [tuple(_bits(r)) for r in reach]
         cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if n <= _PRUNE_MAX_VERTICES else []
         self.root_checks, self.checks = _clique_chains(n, cliques, reach)
         self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
+        # per vertex: the distinct sets the maximal non-adjacent cliques cut
+        # from its neighbors.  The tallest part's height is the set search's
+        # floor; a part no larger than the in-neighbors' bound cannot raise it
+        parts = [{c & a for c in cliques} for a in adj]
+        floor = self.floor = []
+        for w in range(n):
+            f = max((floor[q] + 1 for q in self.in_prev[w]), default=1)
+            floor.append(max([f, *(_height(g, reach) for g in parts[w] if g.bit_count() > f)]))
         # per position p: each vertex w whose second or later out-neighbor is
         # p, with the distinct sets the maximal non-adjacent cliques cut from
         # w's neighbors up to p.  Neither an earlier prefix (w's in-neighbors,
@@ -254,7 +249,7 @@ class _Search:
         for w in range(n):
             for p in out_next[w][1:]:
                 prefix = adj[w] & ((2 << p) - 1)
-                groups = tuple(tuple(_bits(g)) for g in {c & prefix for c in cliques}
+                groups = tuple(tuple(_bits(g)) for g in {g & prefix for g in parts[w]}
                                if g.bit_count() > floor[w])
                 if groups:
                     self.crowds[p].append((w, groups))
@@ -402,8 +397,6 @@ class _Search:
             if len(taken) > depth:
                 need[:], uncovered[:], demand[:], alive = taken[depth]
                 del taken[depth:], classes[base + depth:]
-            if required & ~(members | cand):
-                continue
             while cand:
                 low = cand & -cand
                 cand ^= low
@@ -426,14 +419,12 @@ class _Search:
                 self._tick()
                 taken.append((need[:], uncovered[:], demand[:], alive))
                 classes.append(members)
-                hit = set()
                 for m in _bits(members):
                     need[m] -= 1
                     uncovered[m] &= ~members
-                    hit.update(self.through[m])
                     if not need[m]:
                         alive ^= 1 << m
-                if max(need) > self.k - len(classes) or self._over_demand(members, hit):
+                if max(need) > self.k - len(classes) or self._over_demand(members):
                     continue
                 if need[v]:
                     required = uncovered[v] if need[v] == 1 else 0
@@ -445,20 +436,24 @@ class _Search:
             del classes[base:]
         return False
 
-    def _over_demand(self, members: int, hit: set[int]) -> bool:
-        """Lower the demand of each clique in ``hit`` that the class just
-        taken meets, and tell whether a clique now needs more classes than
-        are left.  A class meets one size of a clique at most; it lowers the
-        largest need there unless a vertex of that size outside it needs as
-        much."""
-        need, demand, cliques, compat = self.need, self.demand, self.cliques, self.compat
-        for c in hit:
-            inside = cliques[c] & members
-            # in a clique the vertices compatible with a member share its size
-            outside = cliques[c] & compat[(inside & -inside).bit_length() - 1] & ~members
-            if not outside or max(need[w] for w in _bits(inside)) >= max(need[w] for w in _bits(outside)):
-                demand[c] -= 1
-        return bool(demand) and max(demand) > self.k - len(self.classes)
+    def _over_demand(self, members: int) -> bool:
+        """Lower the demand of each clique that the class just taken meets,
+        and tell whether a clique now needs more classes than are left,
+        stopping at the first that does.  A class meets one size of a clique
+        at most; it lowers the largest need there unless a vertex of that
+        size outside it needs as much."""
+        need, demand, compat = self.need, self.demand, self.compat
+        left = self.k - len(self.classes)
+        for c, q in enumerate(self.cliques):
+            inside = q & members
+            if inside:
+                # in a clique the vertices compatible with a member share its size
+                outside = q & compat[(inside & -inside).bit_length() - 1] & ~members
+                if not outside or max(need[w] for w in _bits(inside)) >= max(need[w] for w in _bits(outside)):
+                    demand[c] -= 1
+            if demand[c] > left:
+                return True
+        return False
 
 
 def _constructor_upper(D: Digraph) -> int:

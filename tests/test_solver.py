@@ -381,17 +381,10 @@ class TestColorCountingBounds:
     """The size floor and the class search's clique bound only cut subtrees
     without a representation, so the search finds the same first witness."""
 
-    @staticmethod
-    def _path_floors(in_prev, reach, adj):
-        floor = []
-        for preds in in_prev:
-            floor.append(max((floor[q] + 1 for q in preds), default=1))
-        return floor
-
     def _without_bounds(self, monkeypatch, D):
         with monkeypatch.context() as m:
-            m.setattr(solver, "_size_floors", self._path_floors)
-            m.setattr(solver._Search, "_over_demand", lambda self, members, hit: False)
+            m.setattr(solver, "_height", lambda part, reach: 0)
+            m.setattr(solver._Search, "_over_demand", lambda self, members: False)
             return exact_din(D)
 
     def _check_same(self, monkeypatch, D):
@@ -414,7 +407,7 @@ class TestColorCountingBounds:
 
     def test_floor_is_at_least_one(self):
         # an isolated vertex has no neighbors to count, but still a color
-        assert solver._size_floors([()] * 3, [0] * 3, [0] * 3) == [1, 1, 1]
+        assert solver._Search(Digraph(3), 10).floor == [1, 1, 1]
 
     def test_floor_counts_disjoint_neighbors(self):
         # 2 and 4 are neighbors of 1, not adjacent, and joined by the path
