@@ -530,6 +530,36 @@ class TestLookAhead:
     def test_families(self, monkeypatch, D):
         self._check_same(monkeypatch, D)
 
+    def test_floors_hold_their_invariant(self, monkeypatch):
+        """At every size node each unsized position holds its dynamic floor:
+        its static floor, raised above each in-neighbour's size or floor.
+        So the floors rise along every arc, and every chain the look-ahead
+        reads is strictly increasing."""
+        sizes_dfs, refuted = solver._Search._sizes_dfs, solver._Search._refuted
+        seen = {"sizes": 0, "refuted": 0}
+
+        def checking_sizes(self, p):
+            for w in range(p, self.n):
+                want = max([self.floor[w], *(self.sizes[q] + 1 for q in self.in_prev[w])])
+                assert self.sizes[w] == want, (self.order, self.sizes, p, w)
+            seen["sizes"] += 1
+            return sizes_dfs(self, p)
+
+        def checking_refuted(self, checks):
+            for _, chain in checks:
+                values = [self.sizes[w] for w in chain]
+                assert values == sorted(set(values)), (self.order, self.sizes, chain)
+            seen["refuted"] += 1
+            return refuted(self, checks)
+
+        monkeypatch.setattr(solver._Search, "_sizes_dfs", checking_sizes)
+        monkeypatch.setattr(solver._Search, "_refuted", checking_refuted)
+        graphs = [*all_forward_digraphs(5), H7, CROWDED8,
+                  gen_family("directed_path", 12), gen_family("source_arc_path", 10)]
+        for D in graphs:
+            assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
+        assert seen["sizes"] > 0 and seen["refuted"] > 0
+
     @pytest.mark.parametrize("n", range(2, 21))
     def test_directed_path_certifies(self, n):
         D = gen_family("directed_path", n)
