@@ -18,21 +18,22 @@ vertex order (all in-neighbors of a vertex precede it):
   Pairwise non-adjacent vertices of distinct sizes have disjoint sets, so
   in every maximal non-adjacent clique the distinct sizes sum to at most
   k: each vertex takes only the sizes that each clique through it already
-  holds or still has the slack for.  Every later vertex has a dynamic
-  floor, above each in-neighbor's size or dynamic floor; it stays within
-  the vertex's ceiling, since every size and static floor stays within
-  its own.  A look-ahead runs at each level's root and after each size is
-  given: each clique has a fixed chain of later members, each reachable
-  from the one before, whose sizes strictly increase from those floors;
-  the ones above the clique's largest size are new distinct sizes, which
-  must fit in its slack.  Neighbors of v that are pairwise non-adjacent
-  and of different sizes share no color, so v meets each through a color
-  of its own: at most s(v) of them.  Such neighbors lie in one maximal
-  non-adjacent clique, so the neighbors of v in each clique may take at
-  most s(v) distinct sizes.  Sized neighbors stay so whatever sizes
-  follow, and v's in-neighbors are all smaller than v, so this is checked
-  at v's second and each later out-neighbor, over the neighbors sized by
-  then.
+  holds or still has the slack for.  Every later vertex holds its dynamic
+  floor, its static floor raised above each in-neighbor's size or floor,
+  so the floors rise along every arc.  After each size is given a
+  look-ahead reads them as they are: each clique has a fixed chain of later
+  members, each reachable from the one before, whose floors strictly
+  increase; the ones above the clique's largest size are new distinct
+  sizes, which must fit in its slack.  A level's root is one test, k at
+  least the least palette: the largest static floor and each clique's
+  static floors summed along its chain.  Neighbors of v that are pairwise
+  non-adjacent and of different sizes share no color, so v meets each
+  through a color of its own: at most s(v) of them.  Such neighbors lie in
+  one maximal non-adjacent clique, so the neighbors of v in each clique
+  may take at most s(v) distinct sizes.  Sized neighbors stay so whatever
+  sizes follow, and v's in-neighbors are all smaller than v, so this is
+  checked at v's second and each later out-neighbor, over the neighbors
+  sized by then.
 
 * decide each complete size function by color classes, the holders of one
   color.  Two members of a class are adjacent or of equal size, and s is
@@ -161,25 +162,27 @@ def _maximal_nonadjacent_cliques(n: int, adj: list[int]) -> list[int]:
     return out
 
 
-def _clique_chains(n: int, cliques: list[int], reach: list[int]) -> tuple[list, list[list]]:
-    """The (clique, chain) pairs to check at the root and after each p.  A
-    chain from a member is it, then the chain from the first later member it
-    reaches.  After p a clique's chain starts at its first member after p; it
-    can newly fail only if it meets p's descendants or the clique holds p."""
-    root, after = [], [[] for _ in range(n)]
+def _clique_chains(n: int, cliques: list[int], reach: list[int]) -> tuple[list, list[list], list[list]]:
+    """Each clique's chain from its first member; per p, the (clique, chain)
+    pairs to check after p and the cliques through p.  A chain from a member
+    is it, then the chain from the first later member it reaches.  After p a
+    clique's chain starts at its first member after p; it can newly fail
+    only if it meets p's descendants or the clique holds p."""
+    root, after, through = [], [[] for _ in range(n)], [[] for _ in range(n)]
     for i, c in enumerate(cliques):
         chain_from = {}
         chain, mask = (), 0  # the chain after p, and its members as a mask
-        for p in range(n - 1, -1, -1):
+        for p in range(c.bit_length() - 1, -1, -1):  # the chain is empty above c
             member = (c >> p) & 1
             if chain and (member or mask & reach[p]):
                 after[p].append((i, chain))
             if member:
+                through[p].append(i)
                 nxt = c & reach[p]
                 tail, tail_mask = chain_from[(nxt & -nxt).bit_length() - 1] if nxt else ((), 0)
                 chain, mask = chain_from[p] = (p,) + tail, tail_mask | (1 << p)
-        root.append((i, chain))
-    return root, after
+        root.append(chain)
+    return root, after, through
 
 
 def _bits(mask: int) -> list[int]:
@@ -230,8 +233,7 @@ class _Search:
                 reach[i] |= (1 << j) | reach[j]
         self.below = [tuple(_bits(r)) for r in reach]
         cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if n <= _PRUNE_MAX_VERTICES else []
-        self.root_checks, self.checks = _clique_chains(n, cliques, reach)
-        self.through = [tuple(c for c, q in enumerate(cliques) if (q >> i) & 1) for i in range(n)]
+        root, self.checks, self.through = _clique_chains(n, cliques, reach)
         # per vertex: the distinct sets the maximal non-adjacent cliques cut
         # from its neighbors.  The tallest part's height is the set search's
         # floor; a part no larger than the in-neighbors' bound cannot raise it
@@ -253,19 +255,14 @@ class _Search:
                                if g.bit_count() > floor[w])
                 if groups:
                     self.crowds[p].append((w, groups))
+        # the floors rise along every path, so floor[i] + h_out[i] is at most
+        # the largest floor; below this k a level's root is refuted
+        self.least = max([*floor, *(sum(floor[w] for w in chain) for chain in root)])
         self.nodes = 0
         self.max_nodes = max_nodes
         self.size_nodes = 0
         self.size_functions = 0
         self.levels: list[LevelStats] = []
-        # per-run state
-        self.k = 0
-        # the size of each sized vertex, the dynamic floor of the others
-        self.sizes = [0] * n
-        # per clique: bitmask of the distinct sizes given so far, and k minus
-        # their sum
-        self.held = [0] * len(cliques)
-        self.slack = [0] * len(cliques)
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -277,13 +274,16 @@ class _Search:
         nodes, size_nodes, size_functions = self.nodes, self.size_nodes, self.size_functions
         start = time.perf_counter()
         try:
+            if k < self.least:
+                return None
             self.k = k
+            # per clique: bitmask of the distinct sizes given so far, and k
+            # minus their sum
             self.held = [0] * len(self.cliques)
             self.slack = [k] * len(self.cliques)
+            # the size of each sized vertex, the dynamic floor of the others
             self.sizes = list(self.floor)
-            if any(self.floor[i] > k - self.h_out[i] for i in range(self.n)):
-                return None
-            if self._refuted(self.root_checks) or not self._sizes_dfs(0):
+            if not self._sizes_dfs(0):
                 return None
         finally:
             self.levels.append(LevelStats(
@@ -303,7 +303,7 @@ class _Search:
             self.size_functions += 1
             return self._start_classes()
         # p's in-neighbors are sized, so its dynamic floor exceeds each
-        sizes, floor, in_prev = self.sizes, self.floor, self.in_prev
+        sizes, in_prev = self.sizes, self.in_prev
         lo, hi = sizes[p], self.k - self.h_out[p]
         # the sizes in [lo, hi] that each clique through p already holds or
         # still has the slack for
@@ -320,12 +320,12 @@ class _Search:
             sizes[p] = value
             if crowd and self._crowded(crowd):
                 continue
+            # p's values rise and each child restores sizes[p + 1:], so
+            # raising p's descendants in position order keeps their floors
             for w in below:
-                f = floor[w]
                 for q in in_prev[w]:
-                    if sizes[q] >= f:
-                        f = sizes[q] + 1
-                sizes[w] = f
+                    if sizes[q] >= sizes[w]:
+                        sizes[w] = sizes[q] + 1
             added = [c for c in through if not held[c] & bit]
             for c in added:
                 held[c] |= bit
@@ -343,13 +343,12 @@ class _Search:
         has slack for."""
         sizes, held, slack = self.sizes, self.held, self.slack
         for c, chain in checks:
-            # chain sizes strictly increase from the dynamic floors, and each
-            # above the largest size the clique holds is a new distinct size
-            top, room, value = held[c].bit_length() - 1, slack[c], 0
+            # the floors rise along the chain, and each above the largest
+            # size the clique holds is a new distinct size
+            top, room = held[c].bit_length() - 1, slack[c]
             for w in chain:
-                value = value + 1 if value >= sizes[w] else sizes[w]
-                if value > top:
-                    room -= value
+                if sizes[w] > top:
+                    room -= sizes[w]
                     if room < 0:
                         return True
         return False

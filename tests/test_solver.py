@@ -668,13 +668,14 @@ class TestSetUp:
                                       for i in range(n)], sorted(D.arcs)
             assert search.below == [tuple(sorted(descendants(i))) for i in range(n)], sorted(D.arcs)
             assert search.h_out == [height(i) for i in range(n)], sorted(D.arcs)
+            assert search.least == next(lv.k for lv in exact_din(D).levels if lv.nodes), sorted(D.arcs)
 
     def test_no_clique_tables_above_the_prune_limit(self):
         # above 24 vertices the clique list is empty, and with it the chains
         # and the neighbourhood bound's entries
         search = solver._Search(gen_family("directed_path", 25), 1)
         assert search.cliques == []
-        assert search.root_checks == []
+        assert search.least == 25
         assert search.checks == [[]] * 25
         assert search.crowds == [[]] * 25
         assert search.floor == list(range(1, 26))
