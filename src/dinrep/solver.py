@@ -172,7 +172,7 @@ def _clique_chains(n: int, cliques: list[int], reach: list[int]) -> tuple[list, 
     for i, c in enumerate(cliques):
         chain_from = {}
         chain, mask = (), 0  # the chain after p, and its members as a mask
-        for p in range(c.bit_length() - 1, -1, -1):  # the chain is empty above c
+        for p in range(c.bit_length() - 1, -1, -1):  # no chain above c's top member
             member = (c >> p) & 1
             if chain and (member or mask & reach[p]):
                 after[p].append((i, chain))
