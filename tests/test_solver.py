@@ -631,6 +631,38 @@ class TestNeighbourBound:
                 fired += got
         return fired
 
+    @staticmethod
+    def _hold_the_bound(monkeypatch, graphs):
+        """On every entry to ``_sizes_dfs(p)`` each sized vertex w < p meets
+        its sized neighbours in no more distinct pairwise non-adjacent sizes
+        than s(w): the bound held as each of them was sized."""
+        init, sizes_dfs = solver._Search.__init__, solver._Search._sizes_dfs
+        seen = {"arcs": None, "entries": 0}
+
+        def recording_init(self, D, max_nodes):
+            init(self, D, max_nodes)
+            seen["arcs"] = _position_arcs(self, D)
+
+        def checking_sizes(self, p):
+            for w in range(p):
+                assert not TestNeighbourBound._by_definition(seen["arcs"], self.sizes, w, p - 1), (
+                    self.order, self.sizes, w, p)
+            seen["entries"] += 1
+            return sizes_dfs(self, p)
+
+        monkeypatch.setattr(solver._Search, "__init__", recording_init)
+        monkeypatch.setattr(solver._Search, "_sizes_dfs", checking_sizes)
+        for D in graphs:
+            assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
+        assert seen["entries"] > 0
+
+    def test_bound_holds_on_five_vertices(self, monkeypatch):
+        self._hold_the_bound(monkeypatch, all_forward_digraphs(5))
+
+    def test_bound_holds_on_families(self, monkeypatch):
+        self._hold_the_bound(monkeypatch, [CROWDED8, H7, gen_family("directed_path", 12),
+                                           gen_family("source_arc_path", 10)])
+
     def test_crowds_match_the_definition_on_five_vertices(self):
         assert sum(self._check_crowds(D, range(3)) for D in all_forward_digraphs(5)) > 0
 
