@@ -30,10 +30,11 @@ vertex order (all in-neighbors of a vertex precede it):
   non-adjacent and of different sizes share no color, so v meets each
   through a color of its own: at most s(v) of them.  Such neighbors lie in
   one maximal non-adjacent clique, so the neighbors of v in each clique
-  may take at most s(v) distinct sizes.  Sized neighbors stay so whatever
-  sizes follow, and v's in-neighbors are all smaller than v, so this is
-  checked at v's second and each later out-neighbor, over the neighbors
-  sized by then.
+  may take at most s(v) distinct sizes.  Every sized vertex keeps this
+  over its sized neighbors, so it filters p's values wherever a clique
+  through p holds earlier neighbors of an in-neighbor w of p: once they
+  take s(w) sizes, p takes one of them.  w's in-neighbors are all smaller
+  than w, so only w with an out-neighbor before p can have that many.
 
 * decide each complete size function by color classes, the holders of one
   color.  Two members of a class are adjacent or of equal size, and s is
@@ -234,27 +235,19 @@ class _Search:
         self.below = [tuple(_bits(r)) for r in reach]
         cliques = self.cliques = _maximal_nonadjacent_cliques(n, adj) if n <= _PRUNE_MAX_VERTICES else []
         root, self.checks, self.through = _clique_chains(n, cliques, reach)
-        # per vertex: the distinct sets the maximal non-adjacent cliques cut
-        # from its neighbors.  The tallest part's height is the set search's
+        # the distinct sets the maximal non-adjacent cliques cut from each
+        # vertex's neighbors: the tallest part's height is the set search's
         # floor; a part no larger than the in-neighbors' bound cannot raise it
-        parts = [{c & a for c in cliques} for a in adj]
         floor = self.floor = []
         for w in range(n):
             f = max((floor[q] + 1 for q in self.in_prev[w]), default=1)
-            floor.append(max([f, *(_height(g, reach) for g in parts[w] if g.bit_count() > f)]))
-        # per position p: each vertex w whose second or later out-neighbor is
-        # p, with the distinct sets the maximal non-adjacent cliques cut from
-        # w's neighbors up to p.  Neither an earlier prefix (w's in-neighbors,
-        # all smaller than w, and one more) nor a set of at most floor[w]
-        # members can outnumber s(w)
-        self.crowds = [[] for _ in range(n)]
-        for w in range(n):
-            for p in out_next[w][1:]:
-                prefix = adj[w] & ((2 << p) - 1)
-                groups = tuple(tuple(_bits(g)) for g in {g & prefix for g in parts[w]}
-                               if g.bit_count() > floor[w])
-                if groups:
-                    self.crowds[p].append((w, groups))
+            parts = {c & adj[w] for c in cliques}
+            floor.append(max([f, *(_height(g, reach) for g in parts if g.bit_count() > f)]))
+        # per position p: p's in-neighbors with an out-neighbor before p.  At
+        # w's first out-neighbor its earlier neighbors are its in-neighbors,
+        # all smaller than w, which cannot take s(w) sizes
+        self.late = [tuple(w for w in self.in_prev[p] if adj[w] & ((1 << p) - (2 << w)))
+                     for p in range(n)]
         # the floors rise along every path, so floor[i] + h_out[i] is at most
         # the largest floor; below this k a level's root is refuted
         self.least = max([*floor, *(sum(floor[w] for w in chain) for chain in root)])
@@ -308,18 +301,28 @@ class _Search:
         # the sizes in [lo, hi] that each clique through p already holds or
         # still has the slack for
         through, held, slack = self.through[p], self.held, self.slack
+        cliques, adj, late, early = self.cliques, self.adj, self.late[p], (1 << p) - 1
         values = ((2 << hi) - 1) >> lo << lo
         for c in through:
             values &= held[c] | ((2 << slack[c]) - 1)
-        below, checks, crowd = self.below[p], self.checks[p], self.crowds[p]
+            # w's neighbors in c meet w through colors of their own; those
+            # before p already take at most s(w) sizes, so once they take
+            # s(w), p, also in c, must repeat one
+            for w in late:
+                group = cliques[c] & early & adj[w]
+                if group.bit_count() >= sizes[w]:
+                    seen = 0
+                    for x in _bits(group):
+                        seen |= 1 << sizes[x]
+                    if seen.bit_count() >= sizes[w]:
+                        values &= seen
+        below, checks = self.below[p], self.checks[p]
         saved = sizes[p:]
         while values:
             bit = values & -values
             values ^= bit
             value = bit.bit_length() - 1
             sizes[p] = value
-            if crowd and self._crowded(crowd):
-                continue
             # p's values rise and each child restores sizes[p + 1:], so
             # raising p's descendants in position order keeps their floors
             for w in below:
@@ -352,16 +355,6 @@ class _Search:
                     if room < 0:
                         return True
         return False
-
-    def _crowded(self, crowd) -> bool:
-        """Whether a vertex in ``crowd`` has sized neighbors of more distinct
-        sizes than its own in one of its listed sets.  A set lies in a
-        non-adjacent clique, so one neighbor of each size is pairwise
-        non-adjacent with the others and shares no color with them: the
-        vertex meets each through a color of its own, whatever sizes
-        follow."""
-        sizes = self.sizes
-        return any(len({sizes[x] for x in g}) > sizes[w] for w, groups in crowd for g in groups)
 
     def _start_classes(self) -> bool:
         # per size function: each class taken as the mask of its holders

@@ -576,8 +576,14 @@ class TestNeighbourBound:
     @staticmethod
     def _pair(monkeypatch, D):
         bounded = exact_din(D)
+        init = solver._Search.__init__
+
+        def unbounded_init(self, D, max_nodes):
+            init(self, D, max_nodes)
+            self.late = [()] * self.n
+
         with monkeypatch.context() as m:
-            m.setattr(solver._Search, "_crowded", lambda self, crowd: False)
+            m.setattr(solver._Search, "__init__", unbounded_init)
             plain = exact_din(D)
         assert bounded.status == plain.status == OPTIMAL, sorted(D.arcs)
         assert bounded.din == plain.din, sorted(D.arcs)
@@ -592,8 +598,8 @@ class TestNeighbourBound:
 
     @pytest.mark.parametrize("D", [
         gen_family("directed_path", 8), gen_family("source_arc_path", 6), H7,
-        gen_family("fig3_tree_large"),
-    ], ids=["dpath8", "sap6", "H7", "tree"])
+        gen_family("fig3_tree_large"), CROWDED8,
+    ], ids=["dpath8", "sap6", "H7", "tree", "CROWDED8"])
     def test_families(self, monkeypatch, D):
         self._pair(monkeypatch, D)
 
@@ -608,28 +614,6 @@ class TestNeighbourBound:
             for r in range(sizes[w] + 1, len(near) + 1)
             for group in itertools.combinations(near, r)
         )
-
-    def _check_crowds(self, D, seeds):
-        """Each crowd entry fires exactly when the definition does, under
-        sizes drawn at or above the static floors, and every (w, p) where the
-        definition can fire has an entry: p is w's second or later
-        out-neighbour.  Returns how many entries fired."""
-        search = solver._Search(D, 1)
-        arcs = _position_arcs(search, D)
-        late = {(w, p) for w in range(D.n)
-                for p in sorted(j for i, j in arcs if i == w)[1:]}
-        assert {(e[0], p) for p, crowd in enumerate(search.crowds) for e in crowd} <= late
-        fired = 0
-        for seed in seeds:
-            rng = random.Random(seed)
-            sizes = search.sizes = [f + rng.randrange(3) for f in search.floor]
-            for w, p in late:
-                entries = [e for e in search.crowds[p] if e[0] == w]
-                assert len(entries) <= 1, (sorted(D.arcs), w, p)
-                got = any(search._crowded([e]) for e in entries)
-                assert got == self._by_definition(arcs, sizes, w, p), (sorted(D.arcs), sizes, w, p)
-                fired += got
-        return fired
 
     @staticmethod
     def _hold_the_bound(monkeypatch, graphs):
@@ -663,12 +647,6 @@ class TestNeighbourBound:
         self._hold_the_bound(monkeypatch, [CROWDED8, H7, gen_family("directed_path", 12),
                                            gen_family("source_arc_path", 10)])
 
-    def test_crowds_match_the_definition_on_five_vertices(self):
-        assert sum(self._check_crowds(D, range(3)) for D in all_forward_digraphs(5)) > 0
-
-    def test_crowds_match_the_definition_before_the_last_neighbour(self):
-        assert self._check_crowds(CROWDED8, range(40)) > 0
-
 
 class TestSetUp:
     """The search's tables, checked against a direct computation from the
@@ -700,16 +678,21 @@ class TestSetUp:
                                       for i in range(n)], sorted(D.arcs)
             assert search.below == [tuple(sorted(descendants(i))) for i in range(n)], sorted(D.arcs)
             assert search.h_out == [height(i) for i in range(n)], sorted(D.arcs)
+            # only at w's second or later out-neighbour can the neighbourhood
+            # bound fire
+            assert search.late == [tuple(w for w in range(p) if (w, p) in arcs
+                                         and any((w, x) in arcs for x in range(p)))
+                                   for p in range(n)], sorted(D.arcs)
             assert search.least == next(lv.k for lv in exact_din(D).levels if lv.nodes), sorted(D.arcs)
 
     def test_no_clique_tables_above_the_prune_limit(self):
         # above 24 vertices the clique list is empty, and with it the chains
-        # and the neighbourhood bound's entries
+        # and the cliques through each position
         search = solver._Search(gen_family("directed_path", 25), 1)
         assert search.cliques == []
         assert search.least == 25
         assert search.checks == [[]] * 25
-        assert search.crowds == [[]] * 25
+        assert search.through == [[]] * 25
         assert search.floor == list(range(1, 26))
 
 
