@@ -25,6 +25,7 @@ Hamiltonian families, floor(n^2/2) and floor(n^2/2) + m.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import count, groupby, islice
 
 from .bounds import augmented_din, source_arc_path_din
@@ -33,27 +34,25 @@ from .errors import CyclicGraphError
 from .representation import Representation, restrict
 
 
-def _require_small_dag(D: Digraph) -> None:
+def _general(D: Digraph, fill: Callable[[int, list[set[int]], count], list[list[int]]]) -> Representation:
+    """Check D, then build a general construction: ``fill(n, out, colors)``
+    gets the out-neighbours by 1-based left-to-right position and fresh color
+    ids from 0, and returns each position's colors."""
     if D.n < 2:
         raise ValueError(f"construction needs n >= 2, got {D.n}")
     if not is_acyclic(D):
         raise CyclicGraphError("construction requires an acyclic digraph")
-
-
-def _with_dummy(D: Digraph) -> Digraph:
-    # isolated vertex n+1; it lands at the end of the source level in the
-    # left-to-right order and is dropped again after construction
-    return Digraph(D.n + 1, D.arcs)
-
-
-def _positions(D: Digraph) -> tuple[tuple[int, ...], list[set[int]], count]:
-    """Left-to-right order, out-neighbours by 1-based position, fresh color ids from 0."""
-    order = left_to_right_order(D)
+    # odd n: an isolated vertex n+1 lands at the end of the source level in
+    # the left-to-right order and is dropped again after construction
+    padded = Digraph(D.n + 1, D.arcs) if D.n % 2 else D
+    n, order = padded.n, left_to_right_order(padded)
     pos = {v: i for i, v in enumerate(order, start=1)}
-    out: list[set[int]] = [set() for _ in range(D.n + 1)]
+    out: list[set[int]] = [set() for _ in range(n + 1)]
     for u, v in D.arcs:
         out[pos[u]].add(pos[v])
-    return order, out, count()
+    phi = fill(n, out, count())
+    rep = Representation.from_mapping(n, {order[i - 1]: phi[i] for i in range(1, n + 1)})
+    return restrict(rep, range(1, D.n + 1)) if D.n % 2 else rep
 
 
 def initial_block_sizes(n: int) -> list[int]:
@@ -70,12 +69,11 @@ def initial_block_sizes(n: int) -> list[int]:
 
 def pairing_construction(D: Digraph) -> Representation:
     """Valid representation via pair blocking; palette <= 5n^2/8 - n/4 (even n)."""
-    _require_small_dag(D)
-    if D.n % 2:
-        return restrict(pairing_construction(_with_dummy(D)), range(1, D.n + 1))
+    return _general(D, _pairing)
 
-    n, half = D.n, D.n // 2
-    order, out, colors = _positions(D)
+
+def _pairing(n: int, out: list[set[int]], colors: count) -> list[list[int]]:
+    half = n // 2
     # each position's list starts with its initial block, its donor colors
     phi = [[]] + [list(islice(colors, size)) for size in initial_block_sizes(n)]
 
@@ -103,8 +101,7 @@ def pairing_construction(D: Digraph) -> Representation:
         pool = list(islice(colors, max(need_o, need_e)))
         phi[o] += pool[:need_o]
         phi[e] += pool[:need_e]
-
-    return Representation.from_mapping(n, {order[i - 1]: phi[i] for i in range(1, n + 1)})
+    return phi
 
 
 def _save_one_color(
@@ -161,12 +158,10 @@ def inductive_construction(D: Digraph) -> Representation:
     Odd n goes through the dummy-padding wrapper without the bound
     guarantee.
     """
-    _require_small_dag(D)
-    if D.n % 2:
-        return restrict(inductive_construction(_with_dummy(D)), range(1, D.n + 1))
+    return _general(D, _inductive)
 
-    n = D.n
-    order, out, colors = _positions(D)
+
+def _inductive(n: int, out: list[set[int]], colors: count) -> list[list[int]]:
     phi: list[list[int]] = [[] for _ in range(n + 1)]
     # peel pairs from the back so the deepest sub-problem mints colors first
     for lo in range(n - 1, 0, -2):
@@ -212,8 +207,7 @@ def inductive_construction(D: Digraph) -> Representation:
 
         if pair_arc and not lowered:
             _save_one_color(phi, v1, alpha[0], beta[0], bump, pattern, v3_pads)
-
-    return Representation.from_mapping(n, {order[i - 1]: phi[i] for i in range(1, n + 1)})
+    return phi
 
 
 # ---------------------------------------------------------------------------
