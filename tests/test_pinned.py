@@ -9,9 +9,12 @@ as they were.
 import hashlib
 import json
 import random
+from pathlib import Path
 
 from dinrep import (
+    Digraph,
     augmented_representation,
+    exact_din,
     gen_family,
     inductive_construction,
     pairing_construction,
@@ -19,6 +22,7 @@ from dinrep import (
     source_arc_path_representation,
     to_edge_list,
 )
+from dinrep import solver
 from dinrep.cli import main
 from corpus import all_forward_digraphs, connected_dag_corpus, random_dag
 
@@ -32,6 +36,11 @@ DIN_CLI_SHA256 = "e339515cfacef90bf94c692e940abe6252cdb132f591452db538c772d9f93a
 DIN_CLI_NODES_SHA256 = "9d91aa675bfed1ba59545882dd78ccf19ab33ec48dac64a03a45e7842a5d8e53"
 # taken before the constructions read arcs from per-position out-neighbour sets
 N400_CONSTRUCTIONS_SHA256 = "6becade28142f3c1ff997f3544fbc4b64fb42069afe1067f6326e50251e49d61"
+# exact_din over the search corpora without the node counts, and the node
+# counts alone, taken before the class search spent each clique's slack in
+# place of a demand list of its own
+SEARCH_SHA256 = "973207fd23cba93ca3d51b7816558f2626bdd311b71247b61f47d8f834b1360c"
+SEARCH_NODES_SHA256 = "3a76c4c950fff72eba66d868dd5f392d019a47a1ff4592b61a3b970ccc9a73af"
 
 FORMULAS = (None, "general", "lemma", "directed-path", "source-arc-path", "augmented", "p-intersection")
 
@@ -128,3 +137,37 @@ def test_din_output(capsys, tmp_path):
         nodes.update(f"{counts}\n".encode())
     assert digest.hexdigest() == DIN_CLI_SHA256
     assert nodes.hexdigest() == DIN_CLI_NODES_SHA256
+
+
+def _search_corpora():
+    """1,000 random 7-vertex forward DAGs; every sink extension of the
+    6-vertex forward DAGs with DIN 18; directed paths, source arc-paths and
+    two 7-vertex masks that once took millions of nodes."""
+    rng = random.Random(7)
+    graphs = [solver._graph_for_mask(7, rng.getrandbits(21)) for _ in range(1000)]
+    frozen = json.loads((Path(__file__).parent / "frozen_din_n6.json").read_text())
+    for mask, din in enumerate(frozen["din"]):
+        if int(din, 36) == 18:
+            arcs = solver._graph_for_mask(6, mask).arcs
+            for in_set in range(64):
+                graphs.append(Digraph(7, arcs | {(q, 7) for q in range(1, 7) if (in_set >> (q - 1)) & 1}))
+    graphs += [gen_family("directed_path", n) for n in (12, 16, 20, 24)]
+    graphs += [gen_family("source_arc_path", n) for n in (10, 12, 14, 16)]
+    graphs += [solver._graph_for_mask(7, mask) for mask in (428602, 553213)]
+    return graphs
+
+
+def test_search_corpora():
+    # status, DIN, each level's palette size and size functions and the
+    # witness in one digest; nodes_explored and each level's nodes and
+    # size_nodes in the other
+    digest, nodes = hashlib.sha256(), hashlib.sha256()
+    for D in _search_corpora():
+        result = exact_din(D)
+        witness = rep_to_json(result.witness) if result.witness else ""
+        levels = [(lv.k, lv.size_functions) for lv in result.levels]
+        digest.update(f"{result.status} {result.din} {levels}\n{witness}\n".encode())
+        counts = [(lv.nodes, lv.size_nodes) for lv in result.levels]
+        nodes.update(f"{result.nodes_explored} {counts}\n".encode())
+    assert digest.hexdigest() == SEARCH_SHA256
+    assert nodes.hexdigest() == SEARCH_NODES_SHA256

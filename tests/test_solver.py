@@ -480,6 +480,32 @@ class TestColorCountingBounds:
             assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
         assert checked > 0
 
+    def test_over_demand_answers_the_definition(self, monkeypatch):
+        """After every class, the demand check says whether some clique
+        needs more classes than are left: the largest need of each of its
+        sizes, summed, since two sizes share no class."""
+        over_demand = solver._Search._over_demand
+        seen = []
+
+        def demand(self, q):
+            most = {}
+            for w in range(self.n):
+                if (q >> w) & 1:
+                    most[self.sizes[w]] = max(most.get(self.sizes[w], 0), self.need[w])
+            return sum(most.values())
+
+        def checking(self, members):
+            over = over_demand(self, members)
+            left = self.k - len(self.classes)
+            assert over == any(demand(self, q) > left for q in self.cliques), (self.sizes, self.need)
+            seen.append(over)
+            return over
+
+        monkeypatch.setattr(solver._Search, "_over_demand", checking)
+        for D in [H7, CROWDED8, *all_forward_digraphs(5)]:
+            assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
+        assert True in seen and False in seen
+
     def test_source_arc_path_eight_certifies(self):
         D = gen_family("source_arc_path", 8)
         result = exact_din(D, SolveBudget(max_nodes=1_000_000))
