@@ -42,10 +42,11 @@ vertex order (all in-neighbors of a vertex precede it):
   them and both ends of every arc in a common one.  The first vertex with
   need left takes all its remaining classes, a multiset in one fixed
   order, grown lazily from the later vertices with need; a vertex whose
-  need runs out must have every arc covered.  After each class no vertex,
-  and no maximal non-adjacent clique, may need more classes than are
-  left; a clique needs the largest need of each of its sizes, summed,
-  since its sizes share no class.  Class i becomes color i.
+  need runs out must have every arc covered.  After each class no vertex
+  may need more classes than are left, and no maximal non-adjacent
+  clique's slack may fall below 0: a class spends one unit of it unless
+  it lowers the clique's demand, the largest need of each of its sizes
+  summed, since its sizes share no class.  Class i becomes color i.
 
 The bounds and the look-ahead only cut subtrees that hold no
 representation and leave the enumeration order alone, so the first
@@ -270,8 +271,8 @@ class _Search:
             if k < self.least:
                 return None
             self.k = k
-            # per clique: bitmask of the distinct sizes given so far, and k
-            # minus their sum
+            # per clique: bitmask of the distinct sizes given so far, and the
+            # colors it can still spare, k minus their sum, less each class spent
             self.held = [0] * len(self.cliques)
             self.slack = [k] * len(self.cliques)
             # the size of each sized vertex, the dynamic floor of the others
@@ -366,9 +367,6 @@ class _Search:
         self.compat = [a | same[s] for a, s in zip(self.adj, self.sizes)]
         self.need = list(self.sizes)
         self.uncovered = list(self.adj)
-        # per clique: the classes its members still need, the largest need
-        # of each of its sizes summed, since two sizes share no class
-        self.demand = [self.k - s for s in self.slack]
         return self._classes(0, (1 << self.n) - 1)
 
     def _classes(self, v: int, alive: int) -> bool:
@@ -378,8 +376,8 @@ class _Search:
         branches: (classes of v taken, members so far, candidates, members
         it must take, previous class, whether it equals that class so far).
         A vertex whose need runs out has every arc covered by then."""
-        need, uncovered, compat, demand, classes = (
-            self.need, self.uncovered, self.compat, self.demand, self.classes)
+        need, uncovered, compat, slack, classes = (
+            self.need, self.uncovered, self.compat, self.slack, self.classes)
         vbit, base = 1 << v, len(classes)
         required = uncovered[v] if need[v] == 1 else 0
         stack = [(0, vbit, alive & compat[v] & ~vbit, required, 0, False)]
@@ -387,7 +385,7 @@ class _Search:
         while stack:
             depth, members, cand, required, prev, tied = stack.pop()
             if len(taken) > depth:
-                need[:], uncovered[:], demand[:], alive = taken[depth]
+                need[:], uncovered[:], slack[:], alive = taken[depth]
                 del taken[depth:], classes[base + depth:]
             while cand:
                 low = cand & -cand
@@ -409,7 +407,7 @@ class _Search:
                     break
             else:
                 self._tick()
-                taken.append((need[:], uncovered[:], demand[:], alive))
+                taken.append((need[:], uncovered[:], slack[:], alive))
                 classes.append(members)
                 for m in _bits(members):
                     need[m] -= 1
@@ -424,26 +422,26 @@ class _Search:
                 elif not alive or self._classes((alive & -alive).bit_length() - 1, alive):
                     return True
         if taken:
-            need[:], uncovered[:], demand[:], _ = taken[0]
+            need[:], uncovered[:], slack[:], _ = taken[0]  # the size phase backtracks over slack
             del classes[base:]
         return False
 
     def _over_demand(self, members: int) -> bool:
-        """Lower the demand of each clique that the class just taken meets,
-        and tell whether a clique now needs more classes than are left,
-        stopping at the first that does.  A class meets one size of a clique
-        at most; it lowers the largest need there unless a vertex of that
-        size outside it needs as much."""
-        need, demand, compat = self.need, self.demand, self.compat
-        left = self.k - len(self.classes)
+        """Spend the class just taken from each clique's slack, the classes
+        left minus its demand, and tell whether one now falls below 0,
+        stopping at the first.  A class meets one size of a clique at most;
+        it lowers the largest need there, and so the demand, unless a vertex
+        of that size outside it needs as much.  Otherwise it spends one."""
+        need, slack, compat = self.need, self.slack, self.compat
         for c, q in enumerate(self.cliques):
             inside = q & members
             if inside:
                 # in a clique the vertices compatible with a member share its size
                 outside = q & compat[(inside & -inside).bit_length() - 1] & ~members
                 if not outside or max(need[w] for w in _bits(inside)) >= max(need[w] for w in _bits(outside)):
-                    demand[c] -= 1
-            if demand[c] > left:
+                    continue
+            slack[c] -= 1
+            if slack[c] < 0:
                 return True
         return False
 

@@ -457,8 +457,9 @@ class TestColorCountingBounds:
             assert got == want, sorted(D.arcs)
 
     def test_clique_demand_matches_the_definition(self, monkeypatch):
-        """After every class the search keeps, each clique's demand is the
-        largest need of each of its sizes, summed."""
+        """After every class the search keeps, each clique's slack is the
+        classes left minus its demand, the largest need of each of its sizes,
+        summed."""
         over_demand = solver._Search._over_demand
         checked = 0
 
@@ -471,7 +472,7 @@ class TestColorCountingBounds:
                     for w in range(self.n):
                         if (q >> w) & 1:
                             most[self.sizes[w]] = max(most.get(self.sizes[w], 0), self.need[w])
-                    assert self.demand[c] == sum(most.values()), (self.sizes, self.need, c)
+                    assert self.slack[c] == self.k - len(self.classes) - sum(most.values()), (self.sizes, self.need, c)
                 checked += 1
             return over
 
