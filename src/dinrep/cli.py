@@ -5,7 +5,7 @@ part of the contract so shell harnesses need no output parsing:
 
     0  success / representation valid
     1  representation invalid
-    2  usage, parse, or domain error
+    2  usage, parse, or domain error, or out of memory
     3  cyclic input
     4  search budget exhausted
 
@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -20,8 +20,9 @@ Arc = tuple[int, int]
 
 
 def is_int(x: object) -> bool:
-    """True for an integer that is not a bool (JSON true would read as 1)."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """True for a value of exactly type int, as colour ids must be: not a
+    bool (JSON true would read as 1) nor any other int subclass."""
+    return type(x) is int
 
 
 @dataclass(frozen=True)

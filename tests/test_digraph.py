@@ -1,6 +1,7 @@
 """Graph core: parsing, orders, levels, subgraphs, and family generators."""
 
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from dinrep import (
     CyclicGraphError,
     Digraph,
     GraphParseError,
+    Representation,
     SelfLoopError,
     VertexRangeError,
     augmented_added_arcs,
@@ -186,6 +188,14 @@ class TestDigraphInvariants:
         # not converted: int(1.5) would silently store the arc (1, 2)
         with pytest.raises(ValueError, match="not an integer"):
             Digraph(3, [arc])
+
+    def test_int_subclass_vertex_rejected(self):
+        # one integer rule for vertex ids and colour ids: exactly int
+        member = IntEnum("Vertex", "ONE")(1)
+        with pytest.raises(ValueError, match="not an integer"):
+            Digraph(2, [(member, 2)])
+        with pytest.raises(ValueError, match="not an integer"):
+            Representation(1, [[member]])
 
     def test_nonpositive_n(self):
         with pytest.raises(ValueError):
