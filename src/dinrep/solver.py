@@ -427,11 +427,12 @@ class _Search:
         return False
 
     def _over_demand(self, members: int) -> bool:
-        """Spend the class just taken from each clique's slack, the classes
-        left minus its demand, and tell whether one now falls below 0,
-        stopping at the first.  A class meets one size of a clique at most;
-        it lowers the largest need there, and so the demand, unless a vertex
-        of that size outside it needs as much.  Otherwise it spends one."""
+        """Spend the class just taken from each clique's slack, and tell
+        whether one now falls below 0, stopping at the first.  Slack is the
+        classes left minus the demand, so a class spends one unit of it
+        unless it lowers the demand too: it meets one size of a clique at
+        most and lowers the largest need there unless a vertex of that size
+        outside it needs as much."""
         need, slack, compat = self.need, self.slack, self.compat
         for c, q in enumerate(self.cliques):
             inside = q & members
