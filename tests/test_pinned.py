@@ -1,4 +1,5 @@
-"""Outputs pinned byte for byte: the constructions and the CLI listings.
+"""Outputs pinned byte for byte: the constructions, the CLI listings and the
+exact search over fixed corpora.
 
 The digests below were taken from the code before the constructors, the
 solver's witness decoding and the CLI dispatch were merged into one path
