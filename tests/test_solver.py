@@ -507,6 +507,37 @@ class TestColorCountingBounds:
             assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
         assert True in seen and False in seen
 
+    def test_class_order_matches_the_definition(self, monkeypatch):
+        """v is the lowest member of each of its classes and takes them as a
+        multiset in include-first order: a class of v after the first
+        repeats the last one or leaves out the lowest member where the two
+        differ."""
+        classes = solver._Search._classes
+        seen = {"first": 0, "repeat": 0, "later": 0}
+
+        class Ordered(list):
+            def append(self, members):
+                last = self[-1] if self else 0
+                if last & -last != members & -members:
+                    seen["first"] += 1
+                elif last == members:
+                    seen["repeat"] += 1
+                else:
+                    differ = last ^ members
+                    assert not differ & -differ & members, (bin(last), bin(members))
+                    seen["later"] += 1
+                super().append(members)
+
+        def checking(self, v, alive):
+            if type(self.classes) is list:
+                self.classes = Ordered(self.classes)
+            return classes(self, v, alive)
+
+        monkeypatch.setattr(solver._Search, "_classes", checking)
+        for D in [H7, CROWDED8, *all_forward_digraphs(5)]:
+            assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
+        assert seen["repeat"] > 0 and seen["later"] > 0, seen
+
     def test_source_arc_path_eight_certifies(self):
         D = gen_family("source_arc_path", 8)
         result = exact_din(D, SolveBudget(max_nodes=1_000_000))
