@@ -374,30 +374,30 @@ class _Search:
         then recurse to the next such vertex.  v takes a multiset of classes
         in include-first order, each grown lazily from a stack of open
         branches: (classes of v taken, members so far, candidates, members
-        it must take, previous class, whether it equals that class so far).
-        A vertex whose need runs out has every arc covered by then."""
+        it must take).  A vertex whose need runs out has every arc covered
+        by then."""
         need, uncovered, compat, slack, classes = (
             self.need, self.uncovered, self.compat, self.slack, self.classes)
         vbit, base = 1 << v, len(classes)
-        required = uncovered[v] if need[v] == 1 else 0
-        stack = [(0, vbit, alive & compat[v] & ~vbit, required, 0, False)]
+        stack = [(0, vbit, alive & compat[v] & ~vbit, uncovered[v] if need[v] == 1 else 0)]
         taken = []  # the state before each class of v
         while stack:
-            depth, members, cand, required, prev, tied = stack.pop()
+            depth, members, cand, required = stack.pop()
             if len(taken) > depth:
                 need[:], uncovered[:], slack[:], alive = taken[depth]
                 del taken[depth:], classes[base + depth:]
+            prev = classes[-1] if depth else 0  # v's class before this one
             while cand:
                 low = cand & -cand
                 cand ^= low
-                if tied and prev & (low - 1) != members:
-                    tied = False  # the class left out a member of prev
-                if tied and not prev & low:
+                # members holds bits below low only: while it matches prev
+                # there, taking low outside prev would order the class before it
+                if not prev & low and prev & (low - 1) == members:
                     if low & required:
                         break
-                    continue  # taking low would order the class before prev
+                    continue
                 if not low & required:
-                    stack.append((depth, members, cand, required, prev, False))
+                    stack.append((depth, members, cand, required))
                 w = low.bit_length() - 1
                 members |= low
                 cand &= compat[w]
@@ -417,8 +417,7 @@ class _Search:
                 if max(need) > self.k - len(classes) or self._over_demand(members):
                     continue
                 if need[v]:
-                    required = uncovered[v] if need[v] == 1 else 0
-                    stack.append((depth + 1, vbit, alive & compat[v] & ~vbit, required, members, True))
+                    stack.append((depth + 1, vbit, alive & compat[v] & ~vbit, uncovered[v] if need[v] == 1 else 0))
                 elif not alive or self._classes((alive & -alive).bit_length() - 1, alive):
                     return True
         if taken:
