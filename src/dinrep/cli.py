@@ -67,15 +67,12 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _family_key(name: str) -> str:
-    key = name.replace("-", "_")
-    if key == "augmented":
-        key = "augmented_source_arc_path"
-    return key
+# the gen choices: each family spelled with dashes, and "augmented" for short
+_FAMILY_NAMES = {f.replace("_", "-"): f for f in FAMILIES} | {"augmented": "augmented_source_arc_path"}
 
 
 def _cmd_gen(args) -> int:
-    D = gen_family(_family_key(args.family), args.n)
+    D = gen_family(_FAMILY_NAMES[args.family], args.n)
     _write(args.out, to_edge_list(D))
     return EXIT_OK
 
@@ -95,7 +92,10 @@ def _construct(D: Digraph, method: str) -> tuple[Representation, int]:
             ("augmented_source_arc_path", augmented_representation, bounds_mod.augmented_din),
         ):
             try:
-                if D.arcs == gen_family(family, n).arcs:
+                # the source arc-path's arcs plus one per patch colour of the
+                # augmented family: a count to check before building either
+                arcs = 3 * n // 2 - 2 + value(n) - bounds_mod.source_arc_path_din(n)
+                if len(D.arcs) == arcs and D.arcs == gen_family(family, n).arcs:
                     return build(n), value(n)
             except ValueError:  # n outside the family's or the closed form's domain
                 pass
@@ -232,9 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    family_names = sorted({f.replace("_", "-") for f in FAMILIES} | {"augmented"})
     p = sub.add_parser("gen", help="write a family graph file")
-    p.add_argument("family", choices=family_names)
+    p.add_argument("family", choices=sorted(_FAMILY_NAMES))
     p.add_argument("n", nargs="?", type=int, default=None)
     p.add_argument("-o", "--out", default="-")
     p.set_defaults(func=_cmd_gen)

@@ -95,6 +95,21 @@ class TestConstruct:
         assert stdout == ""
         assert err.startswith("error: closed-form method requires")
 
+    def test_closed_form_rejects_by_arc_count_first(self, capsys, tmp_path, monkeypatch):
+        # the augmented family on 4,000 vertices has about a million arcs;
+        # a path's arc count matches neither family, so neither is built
+        def unbuilt(family, n):
+            raise AssertionError(f"built {family} on {n} vertices")
+
+        monkeypatch.setattr("dinrep.cli.gen_family", unbuilt)
+        g = tmp_path / "p4000.g"
+        g.write_text(to_edge_list(gen_family("directed_path", 4000)))
+        code, stdout, err = run(capsys, "construct", str(g), "--method", "closed-form")
+        assert code == 2
+        assert stdout == ""
+        assert err == ("error: closed-form method requires an exact source-arc-path "
+                       "or augmented family match\n")
+
     def test_odd_n_logs_nothing(self, capsys, tmp_path, caplog):
         g = tmp_path / "p7.g"
         g.write_text(to_edge_list(gen_family("directed_path", 7)))
