@@ -108,11 +108,10 @@ def is_acyclic(D: Digraph) -> bool:
 def longest_path_levels(D: Digraph) -> LevelDecomposition:
     """Longest-path level decomposition of an acyclic digraph."""
     gamma = _gamma_values(D)
-    top = max(gamma)
-    levels = tuple(
-        tuple(v for v in D.vertices if gamma[v - 1] == i) for i in range(top + 1)
-    )
-    return LevelDecomposition(gamma, levels)
+    levels = [[] for _ in range(max(gamma) + 1)]
+    for v, g in enumerate(gamma, 1):
+        levels[g].append(v)
+    return LevelDecomposition(gamma, tuple(map(tuple, levels)))
 
 
 def left_to_right_order(D: Digraph) -> tuple[int, ...]:
