@@ -94,8 +94,8 @@ def _construct(D: Digraph, method: str) -> tuple[Representation, int]:
             try:
                 # the source arc-path's arcs plus one per patch colour of the
                 # augmented family: a count to check before building either
-                arcs = 3 * n // 2 - 2 + value(n) - bounds_mod.source_arc_path_din(n)
-                if len(D.arcs) == arcs and D.arcs == gen_family(family, n).arcs:
+                arc_count = 3 * n // 2 - 2 + value(n) - bounds_mod.source_arc_path_din(n)
+                if len(D.arcs) == arc_count and D.arcs == gen_family(family, n).arcs:
                     return build(n), value(n)
             except ValueError:  # n outside the family's or the closed form's domain
                 pass

@@ -39,14 +39,15 @@ vertex order (all in-neighbors of a vertex precede it):
 * decide each complete size function by color classes, the holders of one
   color.  Two members of a class are adjacent or of equal size, and s is
   feasible exactly when at most k classes put every vertex v in s(v) of
-  them and both ends of every arc in a common one.  The first vertex with
-  need left takes all its remaining classes, a multiset in one fixed
-  order, grown lazily from the later vertices with need; a vertex whose
-  need runs out must have every arc covered.  After each class no vertex
-  may need more classes than are left, and no maximal non-adjacent
-  clique's slack may fall below 0: a class spends one unit of it unless
-  it lowers the clique's demand, the largest need of each of its sizes
-  summed, since its sizes share no class.  Class i becomes color i.
+  them and both ends of every arc in a common one.  The first vertex v
+  with need left takes all its remaining classes, grown lazily from the
+  later vertices with need: v's next class repeats its last or leaves out
+  the lowest member where the two differ, so colors are not permuted.  A
+  vertex whose need runs out must have every arc covered.  After each
+  class no vertex may need more classes than are left, and no maximal
+  non-adjacent clique's slack may fall below 0: a class spends one unit of
+  it unless it lowers the clique's demand, the largest need of each of its
+  sizes summed, since its sizes share no class.  Class i becomes color i.
 
 The bounds and the look-ahead only cut subtrees that hold no
 representation and leave the enumeration order alone, so the first
@@ -374,8 +375,7 @@ class _Search:
         then recurse to the next such vertex.  v takes a multiset of classes
         in include-first order, each grown lazily from a stack of open
         branches: (classes of v taken, members so far, candidates, members
-        it must take).  A vertex whose need runs out has every arc covered
-        by then."""
+        it must take).  A vertex whose need runs out has every arc covered."""
         need, uncovered, compat, slack, classes = (
             self.need, self.uncovered, self.compat, self.slack, self.classes)
         vbit, base = 1 << v, len(classes)
