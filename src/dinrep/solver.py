@@ -58,13 +58,14 @@ Everything is deterministic: fixed orders, fixed enumeration, no RNG.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
+from itertools import chain, combinations, count, groupby, permutations, product
 
 from .constructors import inductive_construction, pairing_construction
 from .digraph import Digraph, is_acyclic, is_int, left_to_right_order
@@ -83,6 +84,8 @@ _FRAME_RESERVE = 150
 # correctness does not need; above this many vertices their enumeration could
 # blow up, so none is listed
 _PRUNE_MAX_VERTICES = 24
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -528,11 +531,32 @@ def feasible_with_palette(
 # exhaustive extremal enumeration at desk scale
 
 
+def _mask_arcs(n: int, mask: int) -> list[tuple[int, int]]:
+    """The forward pairs (i, j), i < j, of 1..n that ``mask`` selects (bit b
+    is pair b in row order)."""
+    return [pair for b, pair in enumerate(combinations(range(1, n + 1), 2)) if (mask >> b) & 1]
+
+
 def _graph_for_mask(n: int, mask: int) -> Digraph:
-    """The DAG on 1..n whose arcs are the forward pairs selected by ``mask``
-    (bit b is pair b of (i, j), i < j, in row order)."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return Digraph(n, {pairs[b] for b in range(len(pairs)) if (mask >> b) & 1})
+    return Digraph(n, _mask_arcs(n, mask))
+
+
+def _canonical_form(n: int, arcs: list[tuple[int, int]]) -> int:
+    """Least arc mask (bit i * n + j for an arc from position i to j) over
+    the relabellings that list 1..n in (in-degree, out-degree) order,
+    permuting only vertices that tie.  An isomorphism maps this set of
+    relabellings onto itself and the mask encodes the whole labelled graph,
+    so two graphs share a form exactly when they are isomorphic."""
+    degrees = [[0, 0] for _ in range(n + 1)]
+    for u, v in arcs:
+        degrees[v][0] += 1
+        degrees[u][1] += 1
+    ranked = sorted(range(1, n + 1), key=degrees.__getitem__)
+    ties = [tuple(tie) for _, tie in groupby(ranked, key=degrees.__getitem__)]
+    return min(
+        sum(1 << (pos[u] * n + pos[v]) for u, v in arcs)
+        for pos in (dict(zip(chain(*split), range(n))) for split in product(*map(permutations, ties)))
+    )
 
 
 def _din(n: int, budget: SolveBudget, mask: int) -> int | None:
@@ -548,11 +572,16 @@ def extremal_din(
     """Largest exact palette over all DAGs on n vertices, with witnesses.
 
     Every DAG appears among the arc subsets of the complete DAG on ordered
-    vertices under some topological labeling, so enumerating the
-    2^(n(n-1)/2) labeled subsets covers all of them.  No isomorphism
-    reduction is attempted; at this scale correctness beats cleverness.
-    Witnesses come in arc-mask order, whatever the number of workers, which
-    must be at least 1 and is capped at the CPU count.
+    vertices under some topological labeling, so the 2^(n(n-1)/2) labeled
+    subsets cover all of them.  Isomorphic subsets share a canonical form,
+    so only the first mask of each isomorphism class is solved and every
+    mask takes its class's DIN.  The node budget applies to each class
+    solve: when it runs out, ``BudgetExhaustedError`` counts the masks whose
+    class representative (the least mask in the class) ran out.
+    Witnesses are every mask of the largest DIN, in arc-mask order,
+    whatever the number of workers, which must be at least 1 and is capped
+    at the CPU count.  One INFO line on the ``dinrep.solver`` logger gives
+    the mask count, the class count and the maximum.
     """
     if not is_int(n) or not 2 <= n <= 6:
         raise ValueError(f"extremal enumeration supports 2 <= n <= 6, got {n!r}")
@@ -560,18 +589,26 @@ def extremal_din(
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     workers = min(workers or 1, os.cpu_count() or 1)
     masks = range(1 << (n * (n - 1) // 2))
+    # each class's least mask, by form, and each mask's representative
+    first: dict[int, int] = {}
+    reps = [first.setdefault(_canonical_form(n, _mask_arcs(n, mask)), mask) for mask in masks]
+    todo = list(first.values())
     solve = partial(_din, n, budget or DEFAULT_BUDGET)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            dins = pool.map(solve, masks, chunksize=64)
+            solved = pool.map(solve, todo, chunksize=64)
     else:
-        dins = list(map(solve, masks))
+        solved = list(map(solve, todo))
+    din_of = dict(zip(todo, solved))
+    dins = [din_of[rep] for rep in reps]
     exhausted = dins.count(None)
     if exhausted:
         raise BudgetExhaustedError(
             f"budget exhausted on {exhausted} of {len(masks)} digraphs (n={n})"
         )
     best = max(dins)
+    _log.info("extremal n=%d: %d masks, %d isomorphism classes, max DIN %d",
+              n, len(masks), len(todo), best)
     # only the witnesses are rebuilt: keeping every solved graph would hold
     # its arcs and cached longest paths, about 1.5 KB a graph
     return best, [_graph_for_mask(n, mask) for mask, din in enumerate(dins) if din == best]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterator
 
 from dinrep import (
@@ -73,6 +73,19 @@ def all_forward_digraphs(n: int):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     for mask in range(1 << len(pairs)):
         yield Digraph(n, {pairs[b] for b in range(len(pairs)) if (mask >> b) & 1})
+
+
+def brute_force_form(n: int, arcs) -> int:
+    """Least arc mask (bit i * n + j for an arc from position i to j) over
+    all n! relabellings of 1..n, with no degree refinement: equal for two
+    graphs exactly when they are isomorphic."""
+    return min(sum(1 << (p[u - 1] * n + p[v - 1]) for u, v in arcs) for p in permutations(range(n)))
+
+
+def first_of_class(forms) -> list[int]:
+    """Each item's class, named by the index of the first item with its form."""
+    first: dict = {}
+    return [first.setdefault(form, i) for i, form in enumerate(forms)]
 
 
 def class_work(result) -> bytes:

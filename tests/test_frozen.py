@@ -41,8 +41,10 @@ def test_every_forward_dag_on_five_vertices():
 
 
 def test_extremal_five():
+    frozen = [int(d, 16) for d in FROZEN["din"]]
     best, witnesses = extremal_din(5)
-    assert best == 12 == max(int(d, 16) for d in FROZEN["din"])
+    assert best == 12 == max(frozen)
+    assert witnesses == [D for D, din in zip(all_forward_digraphs(5), frozen) if din == best]
     assert [sorted(w.arcs) for w in witnesses] == [
         [(1, 2), (1, 4), (2, 3), (3, 4), (4, 5)],
         [(1, 2), (1, 4), (2, 3), (2, 5), (3, 4), (4, 5)],

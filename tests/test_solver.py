@@ -1,6 +1,7 @@
 """Exact search: fixtures, certificates, properties, budgets, enumeration."""
 
 import itertools
+import logging
 import random
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from dinrep import (
     BUDGET_EXHAUSTED,
+    BudgetExhaustedError,
     INFEASIBLE,
     OPTIMAL,
     CyclicGraphError,
@@ -28,7 +30,14 @@ from dinrep import (
     verify,
 )
 from dinrep import solver
-from corpus import all_forward_digraphs, connected_dag_corpus, independent_validity, random_dag
+from corpus import (
+    all_forward_digraphs,
+    brute_force_form,
+    connected_dag_corpus,
+    first_of_class,
+    independent_validity,
+    random_dag,
+)
 
 TRIANGLE = Digraph(3, {(1, 2), (2, 3), (3, 1)})
 
@@ -277,6 +286,37 @@ class TestExtremal:
         assert seq[0] == par[0] == 8
         assert seq[1] == par[1]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_every_mask_solved(self, n):
+        # the maximum over a solve of every mask, and its masks in mask order
+        graphs = list(all_forward_digraphs(n))
+        dins = [exact_din(D).din for D in graphs]
+        best = max(dins)
+        expected = (best, [D for D, din in zip(graphs, dins) if din == best])
+        assert extremal_din(n) == expected
+        assert extremal_din(n, workers=2) == expected
+
+    def test_budget_counts_masks_of_exhausted_classes(self):
+        # under 10 nodes 28 of the 64 masks have a representative that runs
+        # out, while 26 masks run out when each is solved as labelled
+        budget = SolveBudget(max_nodes=10)
+        graphs = list(all_forward_digraphs(4))
+        reps = first_of_class(brute_force_form(4, D.arcs) for D in graphs)
+        out = {r: exact_din(graphs[r], budget).status == BUDGET_EXHAUSTED for r in set(reps)}
+        exhausted = sum(out[r] for r in reps)
+        assert 0 < exhausted < len(graphs)
+        assert exhausted != sum(exact_din(D, budget).status == BUDGET_EXHAUSTED for D in graphs)
+        with pytest.raises(BudgetExhaustedError) as error:
+            extremal_din(4, budget)
+        assert str(error.value) == f"budget exhausted on {exhausted} of 64 digraphs (n=4)"
+
+    def test_logs_masks_classes_and_maximum(self, caplog):
+        with caplog.at_level(logging.INFO, logger="dinrep.solver"):
+            extremal_din(5)
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("dinrep.solver", "INFO", "extremal n=5: 1024 masks, 302 isomorphism classes, max DIN 12"),
+        ]
+
     @staticmethod
     def _fake_pool(monkeypatch, cpus):
         """Record each pool's size and map in this process; start nothing."""
@@ -316,6 +356,32 @@ class TestExtremal:
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             extremal_din(3, workers=workers)
         assert sizes == []
+
+
+class TestCanonicalForm:
+    """``_canonical_form`` names isomorphism classes exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_classes_match_brute_force(self, n):
+        arcs = [sorted(D.arcs) for D in all_forward_digraphs(n)]
+        assert (first_of_class(solver._canonical_form(n, a) for a in arcs)
+                == first_of_class(brute_force_form(n, a) for a in arcs))
+
+    # unlabelled DAGs on n vertices (OEIS A003087)
+    @pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 6), (4, 31), (5, 302), (6, 5984)])
+    def test_class_counts(self, n, classes):
+        assert len({solver._canonical_form(n, solver._mask_arcs(n, m))
+                    for m in range(1 << (n * (n - 1) // 2))}) == classes
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_invariant_under_relabelling(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            arcs = sorted(random_dag(rng, n, rng.uniform(0.1, 0.9)).arcs)
+            form = solver._canonical_form(n, arcs)
+            for _ in range(5):
+                label = [0, *rng.sample(range(1, n + 1), n)]
+                assert solver._canonical_form(n, [(label[u], label[v]) for u, v in arcs]) == form
 
 
 class TestCliquePrune:
