@@ -547,6 +547,26 @@ class TestColorCountingBounds:
             assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
         assert checked > 0
 
+    def test_refuted_size_function_leaves_the_size_state(self, monkeypatch):
+        """A size function the class search refutes leaves the size phase's
+        clique sizes, slack and sizes as it found them."""
+        start_classes = solver._Search._start_classes
+        refuted = 0
+
+        def checking(self):
+            nonlocal refuted
+            before = (self.held[:], self.slack[:], self.sizes[:])
+            found = start_classes(self)
+            if not found:
+                assert (self.held, self.slack, self.sizes) == before, before
+                refuted += 1
+            return found
+
+        monkeypatch.setattr(solver._Search, "_start_classes", checking)
+        for D in [H7, CROWDED8, *all_forward_digraphs(5)]:
+            assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
+        assert refuted > 0
+
     def test_over_demand_answers_the_definition(self, monkeypatch):
         """After every class, the demand check says whether some clique
         needs more classes than are left: the largest need of each of its
