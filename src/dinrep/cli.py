@@ -286,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:
+    except (MemoryError, OverflowError):  # a vertex count past any list index overflows
         print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 

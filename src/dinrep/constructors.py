@@ -29,7 +29,7 @@ from collections.abc import Callable
 from itertools import count, groupby, islice
 
 from .bounds import augmented_din, source_arc_path_din
-from .digraph import Digraph, augmented_added_arcs, is_acyclic, left_to_right_order
+from .digraph import Digraph, augmented_added_arcs, is_acyclic, is_int, left_to_right_order
 from .errors import CyclicGraphError
 from .representation import Representation, restrict
 
@@ -246,10 +246,8 @@ def source_arc_path_representation(n: int) -> Representation:
     Vertex sizes are forced to n/2 + j - 1 along the Hamiltonian path; the
     even-labeled vertices receive pairwise disjoint sets.
     """
-    if n % 2:
-        raise ValueError(f"source arc-path closed form needs even n, got {n}")
-    if n < 4:
-        raise ValueError(f"source arc-path closed form needs n >= 4, got {n}")
+    if not is_int(n) or n % 2 or n < 4:
+        raise ValueError(f"source arc-path closed form needs even n >= 4, got {n!r}")
     phi, _ = _source_arc_path(n, count())
     rep = Representation.from_mapping(n, phi)
     assert rep.palette_size == source_arc_path_din(n)

@@ -250,8 +250,8 @@ def _source_arc_path_arcs(n: int) -> set[Arc]:
 def augmented_added_arcs(n: int) -> list[Arc]:
     """The triangle-free bipartite arcs on odd labels that the augmented
     family adds to the source arc-path, sorted lexicographically."""
-    if n % 2 or n < 8:
-        raise ValueError(f"augmented source arc-path requires even n >= 8, got {n}")
+    if not is_int(n) or n % 2 or n < 8:
+        raise ValueError(f"augmented source arc-path requires even n >= 8, got {n!r}")
     if (n - 2) // 2 % 2 == 0:
         xs = range(3, n // 2 + 1, 2)
         ys = range(n // 2 + 2, n, 2)

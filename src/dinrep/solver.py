@@ -276,7 +276,7 @@ class _Search:
                 return None
             self.k = k
             # per clique: bitmask of the distinct sizes given so far, and the
-            # colors it can still spare, k minus their sum, less each class spent
+            # colors it can still spare, k minus their sum; classes spend a copy
             self.held = [0] * len(self.cliques)
             self.slack = [k] * len(self.cliques)
             # the size of each sized vertex, the dynamic floor of the others
@@ -371,6 +371,7 @@ class _Search:
         self.compat = [a | same[s] for a, s in zip(self.adj, self.sizes)]
         self.need = list(self.sizes)
         self.uncovered = list(self.adj)
+        self.spare = self.slack[:]
         return self._classes(0, (1 << self.n) - 1)
 
     def _classes(self, v: int, alive: int) -> bool:
@@ -378,16 +379,17 @@ class _Search:
         then recurse to the next such vertex.  v takes a multiset of classes
         in include-first order, each grown lazily from a stack of open
         branches: (classes of v taken, members so far, candidates, members
-        it must take).  A vertex whose need runs out has every arc covered."""
-        need, uncovered, compat, slack, classes = (
-            self.need, self.uncovered, self.compat, self.slack, self.classes)
+        it must take).  A vertex whose need runs out has every arc covered.
+        A failed call restores nothing; the caller's next branch does."""
+        need, uncovered, compat, spare, classes = (
+            self.need, self.uncovered, self.compat, self.spare, self.classes)
         vbit, base = 1 << v, len(classes)
         stack = [(0, vbit, alive & compat[v] & ~vbit, uncovered[v] if need[v] == 1 else 0)]
         taken = []  # the state before each class of v
         while stack:
             depth, members, cand, required = stack.pop()
             if len(taken) > depth:
-                need[:], uncovered[:], slack[:], alive = taken[depth]
+                need[:], uncovered[:], spare[:], alive = taken[depth]
                 del taken[depth:], classes[base + depth:]
             prev = classes[-1] if depth else 0  # v's class before this one
             while cand:
@@ -410,7 +412,7 @@ class _Search:
                     break
             else:
                 self._tick()
-                taken.append((need[:], uncovered[:], slack[:], alive))
+                taken.append((need[:], uncovered[:], spare[:], alive))
                 classes.append(members)
                 for m in _bits(members):
                     need[m] -= 1
@@ -423,19 +425,16 @@ class _Search:
                     stack.append((depth + 1, vbit, alive & compat[v] & ~vbit, uncovered[v] if need[v] == 1 else 0))
                 elif not alive or self._classes((alive & -alive).bit_length() - 1, alive):
                     return True
-        if taken:
-            need[:], uncovered[:], slack[:], _ = taken[0]  # the size phase backtracks over slack
-            del classes[base:]
         return False
 
     def _over_demand(self, members: int) -> bool:
-        """Spend the class just taken from each clique's slack, and tell
-        whether one now falls below 0, stopping at the first.  Slack is the
-        classes left minus the demand, so a class spends one unit of it
-        unless it lowers the demand too: it meets one size of a clique at
-        most and lowers the largest need there unless a vertex of that size
-        outside it needs as much."""
-        need, slack, compat = self.need, self.slack, self.compat
+        """Spend the class just taken from ``spare``, the class search's copy
+        of each clique's slack, and tell whether one now falls below 0,
+        stopping at the first.  Slack is the classes left minus the demand,
+        so a class spends one unit of it unless it lowers the demand too: it
+        meets one size of a clique at most and lowers the largest need there
+        unless a vertex of that size outside it needs as much."""
+        need, spare, compat = self.need, self.spare, self.compat
         for c, q in enumerate(self.cliques):
             inside = q & members
             if inside:
@@ -443,8 +442,8 @@ class _Search:
                 outside = q & compat[(inside & -inside).bit_length() - 1] & ~members
                 if not outside or max(need[w] for w in _bits(inside)) >= max(need[w] for w in _bits(outside)):
                     continue
-            slack[c] -= 1
-            if slack[c] < 0:
+            spare[c] -= 1
+            if spare[c] < 0:
                 return True
         return False
 

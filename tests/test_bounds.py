@@ -1,8 +1,11 @@
 """Closed-form formulas and their agreement with the exact solver."""
 
+import re
+
 import pytest
 
 from dinrep import (
+    augmented_added_arcs,
     augmented_din,
     augmented_representation,
     directed_path_din,
@@ -106,3 +109,20 @@ class TestCrossFormulaRelations:
             assert source_arc_path_representation(n).palette_size == source_arc_path_din(n)
         for n in (8, 10, 12):
             assert augmented_representation(n).palette_size == augmented_din(n)
+
+
+class TestIntRule:
+    """Every formula and closed form takes only an int: a float, a bool or
+    a string is refused rather than computed with."""
+
+    @pytest.mark.parametrize("value", [6.0, 8.5, True, "8"], ids=repr)
+    @pytest.mark.parametrize("function", [
+        general_upper_bound, lemma_upper_bound, directed_path_din, source_arc_path_din,
+        augmented_din, source_arc_path_representation, augmented_representation,
+        augmented_added_arcs, lambda n: p_intersection_upper_bound(n, 2),
+        lambda p: p_intersection_upper_bound(8, p),
+    ], ids=["general", "lemma", "dpath", "sap", "augmented", "sap_rep", "augmented_rep",
+            "augmented_arcs", "p_din", "p_p"])
+    def test_non_int_is_refused(self, function, value):
+        with pytest.raises(ValueError, match=re.escape(f"got {value!r}")):
+            function(value)

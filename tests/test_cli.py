@@ -127,13 +127,14 @@ class TestConstruct:
     @pytest.mark.parametrize("method", ["pairing", "inductive"])
     def test_too_many_vertices_to_allocate(self, capsys, tmp_path, method):
         # a list of 2^62 entries overflows its size before any allocation
-        # is tried, so this asks for no memory
+        # is tried, and 2^64 overflows an index, so neither asks for memory
         g = tmp_path / "huge.g"
-        g.write_text(f"{2 ** 62}\n")
-        code, stdout, err = run(capsys, "construct", str(g), "--method", method)
-        assert code == 2
-        assert stdout == ""
-        assert err == "error: out of memory\n"
+        for n in (2 ** 62, 2 ** 64):
+            g.write_text(f"{n}\n")
+            code, stdout, err = run(capsys, "construct", str(g), "--method", method)
+            assert code == 2, n
+            assert stdout == ""
+            assert err == "error: out of memory\n"
 
     def test_byte_identical_rep_files(self, capsys, tmp_path):
         g = tmp_path / "g.txt"

@@ -538,7 +538,7 @@ class TestColorCountingBounds:
                     for w in range(self.n):
                         if (q >> w) & 1:
                             most[self.sizes[w]] = max(most.get(self.sizes[w], 0), self.need[w])
-                    assert self.slack[c] == self.k - len(self.classes) - sum(most.values()), (self.sizes, self.need, c)
+                    assert self.spare[c] == self.k - len(self.classes) - sum(most.values()), (self.sizes, self.need, c)
                 checked += 1
             return over
 

@@ -1,4 +1,5 @@
-"""dinrep itself depends on nothing outside the standard library.
+"""dinrep itself depends on nothing outside the standard library, and its
+source parses as the oldest Python that ``pyproject.toml`` claims.
 
 Test-only dependencies (hypothesis, scipy) must never leak into ``src/``.
 """
@@ -27,3 +28,12 @@ def test_every_absolute_import_is_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_every_module_parses_as_python_3_10():
+    # requires-python = ">=3.10"; feature_version refuses later grammar
+    # such as except*
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
