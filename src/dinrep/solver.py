@@ -76,8 +76,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
-# interpreter frames kept free for the callers of the search; each search
-# phase recurses once per vertex on top of them
+# interpreter frames kept free for the callers of the search; the size phase
+# recurses once per vertex on top of them and the class search adds one frame.
+# max_search_vertices still halves the rest: the graphs `din` refuses with
+# exit 2 are part of the CLI contract
 _FRAME_RESERVE = 150
 
 # the maximal non-adjacent cliques carry every color-counting bound, which
@@ -261,6 +263,7 @@ class _Search:
         self.size_nodes = 0
         self.size_functions = 0
         self.levels: list[LevelStats] = []
+        self.classes: list[int] = []  # the class search's path, as masks of holders
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -299,7 +302,7 @@ class _Search:
         self._tick()
         if p == self.n:
             self.size_functions += 1
-            return self._start_classes()
+            return self._classes()
         # p's in-neighbors are sized, so its dynamic floor exceeds each
         sizes, in_prev = self.sizes, self.in_prev
         lo, hi = sizes[p], self.k - self.h_out[p]
@@ -361,37 +364,31 @@ class _Search:
                         return True
         return False
 
-    def _start_classes(self) -> bool:
-        # per size function: each class taken as the mask of its holders
-        self.classes = []
+    def _classes(self) -> bool:
+        """Decide the size function by classes in one loop over open branches,
+        depth first.  A branch grows one class: (classes kept before it,
+        members so far, candidates, members it must take, state), the state
+        being need, uncovered arcs, spare slack and the vertices with need
+        left.  Each class belongs to its lowest member, the first vertex with
+        need left, which takes its classes as a multiset in include-first
+        order; a vertex whose need runs out has every arc covered.  A kept
+        class changes its own copies of the state's lists and opens one
+        branch, so a popped branch restores nothing but the class list."""
+        sizes, adj, classes = self.sizes, self.adj, self.classes
         same = {}
-        for p, s in enumerate(self.sizes):
+        for p, s in enumerate(sizes):
             same[s] = same.get(s, 0) | 1 << p
         # two vertices may share a class when adjacent or of equal size
-        self.compat = [a | same[s] for a, s in zip(self.adj, self.sizes)]
-        self.need = list(self.sizes)
-        self.uncovered = list(self.adj)
-        self.spare = self.slack[:]
-        return self._classes(0, (1 << self.n) - 1)
-
-    def _classes(self, v: int, alive: int) -> bool:
-        """Give v, the first vertex with need left, all its remaining classes,
-        then recurse to the next such vertex.  v takes a multiset of classes
-        in include-first order, each grown lazily from a stack of open
-        branches: (classes of v taken, members so far, candidates, members
-        it must take).  A vertex whose need runs out has every arc covered.
-        A failed call restores nothing; the caller's next branch does."""
-        need, uncovered, compat, spare, classes = (
-            self.need, self.uncovered, self.compat, self.spare, self.classes)
-        vbit, base = 1 << v, len(classes)
-        stack = [(0, vbit, alive & compat[v] & ~vbit, uncovered[v] if need[v] == 1 else 0)]
-        taken = []  # the state before each class of v
+        compat = self.compat = [a | same[s] for a, s in zip(adj, sizes)]
+        # the root's state holds the size phase's lists; no kept class writes them
+        alive = (1 << self.n) - 1
+        stack = [(0, 1, alive & compat[0] & ~1, adj[0] if sizes[0] == 1 else 0, (sizes, adj, self.slack, alive))]
         while stack:
-            depth, members, cand, required = stack.pop()
-            if len(taken) > depth:
-                need[:], uncovered[:], spare[:], alive = taken[depth]
-                del taken[depth:], classes[base + depth:]
-            prev = classes[-1] if depth else 0  # v's class before this one
+            depth, members, cand, required, state = stack.pop()
+            need, uncovered, spare, alive = state
+            del classes[depth:]  # at the root, the last size function's classes
+            # an earlier vertex's class holds it, below all of members: no tie
+            prev = classes[-1] if depth else 0
             while cand:
                 low = cand & -cand
                 cand ^= low
@@ -402,7 +399,7 @@ class _Search:
                         break
                     continue
                 if not low & required:
-                    stack.append((depth, members, cand, required))
+                    stack.append((depth, members, cand, required, state))
                 w = low.bit_length() - 1
                 members |= low
                 cand &= compat[w]
@@ -412,29 +409,31 @@ class _Search:
                     break
             else:
                 self._tick()
-                taken.append((need[:], uncovered[:], spare[:], alive))
+                need, uncovered, spare = need[:], uncovered[:], spare[:]
                 classes.append(members)
                 for m in _bits(members):
                     need[m] -= 1
                     uncovered[m] &= ~members
                     if not need[m]:
                         alive ^= 1 << m
-                if max(need) > self.k - len(classes) or self._over_demand(members):
+                if max(need) > self.k - len(classes) or self._over_demand(members, need, spare):
                     continue
-                if need[v]:
-                    stack.append((depth + 1, vbit, alive & compat[v] & ~vbit, uncovered[v] if need[v] == 1 else 0))
-                elif not alive or self._classes((alive & -alive).bit_length() - 1, alive):
+                if not alive:
                     return True
+                vbit = alive & -alive
+                v = vbit.bit_length() - 1
+                stack.append((depth + 1, vbit, alive & compat[v] & ~vbit, uncovered[v] if need[v] == 1 else 0,
+                              (need, uncovered, spare, alive)))
         return False
 
-    def _over_demand(self, members: int) -> bool:
-        """Spend the class just taken from ``spare``, the class search's copy
-        of each clique's slack, and tell whether one now falls below 0,
-        stopping at the first.  Slack is the classes left minus the demand,
-        so a class spends one unit of it unless it lowers the demand too: it
-        meets one size of a clique at most and lowers the largest need there
-        unless a vertex of that size outside it needs as much."""
-        need, spare, compat = self.need, self.spare, self.compat
+    def _over_demand(self, members: int, need: list[int], spare: list[int]) -> bool:
+        """Spend the class just taken from ``spare``, its copy of each clique's
+        slack, and tell whether one now falls below 0, stopping at the first.
+        Slack is the classes left minus the demand, so a class spends one unit
+        of it unless it lowers the demand too: it meets one size of a clique
+        at most and lowers the largest ``need`` there unless a vertex of that
+        size outside it needs as much."""
+        compat = self.compat
         for c, q in enumerate(self.cliques):
             inside = q & members
             if inside:

@@ -450,7 +450,7 @@ class TestColorCountingBounds:
     def _without_bounds(self, monkeypatch, D):
         with monkeypatch.context() as m:
             m.setattr(solver, "_height", lambda part, reach: 0)
-            m.setattr(solver._Search, "_over_demand", lambda self, members: False)
+            m.setattr(solver._Search, "_over_demand", lambda self, *args: False)
             return exact_din(D)
 
     def _check_same(self, monkeypatch, D):
@@ -529,16 +529,16 @@ class TestColorCountingBounds:
         over_demand = solver._Search._over_demand
         checked = 0
 
-        def checking(self, *args):
+        def checking(self, members, need, spare):
             nonlocal checked
-            over = over_demand(self, *args)
+            over = over_demand(self, members, need, spare)
             if not over:
                 for c, q in enumerate(self.cliques):
                     most = {}
                     for w in range(self.n):
                         if (q >> w) & 1:
-                            most[self.sizes[w]] = max(most.get(self.sizes[w], 0), self.need[w])
-                    assert self.spare[c] == self.k - len(self.classes) - sum(most.values()), (self.sizes, self.need, c)
+                            most[self.sizes[w]] = max(most.get(self.sizes[w], 0), need[w])
+                    assert spare[c] == self.k - len(self.classes) - sum(most.values()), (self.sizes, need, c)
                 checked += 1
             return over
 
@@ -548,21 +548,20 @@ class TestColorCountingBounds:
         assert checked > 0
 
     def test_refuted_size_function_leaves_the_size_state(self, monkeypatch):
-        """A size function the class search refutes leaves the size phase's
-        clique sizes, slack and sizes as it found them."""
-        start_classes = solver._Search._start_classes
+        """The class search leaves the size phase's clique sizes, slack and
+        sizes as it found them, whether it refutes the size function or not."""
+        classes = solver._Search._classes
         refuted = 0
 
         def checking(self):
             nonlocal refuted
             before = (self.held[:], self.slack[:], self.sizes[:])
-            found = start_classes(self)
-            if not found:
-                assert (self.held, self.slack, self.sizes) == before, before
-                refuted += 1
+            found = classes(self)
+            assert (self.held, self.slack, self.sizes) == before, before
+            refuted += not found
             return found
 
-        monkeypatch.setattr(solver._Search, "_start_classes", checking)
+        monkeypatch.setattr(solver._Search, "_classes", checking)
         for D in [H7, CROWDED8, *all_forward_digraphs(5)]:
             assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
         assert refuted > 0
@@ -574,17 +573,17 @@ class TestColorCountingBounds:
         over_demand = solver._Search._over_demand
         seen = []
 
-        def demand(self, q):
+        def demand(self, q, need):
             most = {}
             for w in range(self.n):
                 if (q >> w) & 1:
-                    most[self.sizes[w]] = max(most.get(self.sizes[w], 0), self.need[w])
+                    most[self.sizes[w]] = max(most.get(self.sizes[w], 0), need[w])
             return sum(most.values())
 
-        def checking(self, members):
-            over = over_demand(self, members)
+        def checking(self, members, need, spare):
+            over = over_demand(self, members, need, spare)
             left = self.k - len(self.classes)
-            assert over == any(demand(self, q) > left for q in self.cliques), (self.sizes, self.need)
+            assert over == any(demand(self, q, need) > left for q in self.cliques), (self.sizes, need)
             seen.append(over)
             return over
 
@@ -605,6 +604,7 @@ class TestColorCountingBounds:
             def append(self, members):
                 last = self[-1] if self else 0
                 if last & -last != members & -members:
+                    assert members & -members > last & -last, (bin(last), bin(members))
                     seen["first"] += 1
                 elif last == members:
                     seen["repeat"] += 1
@@ -614,10 +614,10 @@ class TestColorCountingBounds:
                     seen["later"] += 1
                 super().append(members)
 
-        def checking(self, v, alive):
+        def checking(self):
             if type(self.classes) is list:
                 self.classes = Ordered(self.classes)
-            return classes(self, v, alive)
+            return classes(self)
 
         monkeypatch.setattr(solver._Search, "_classes", checking)
         for D in [H7, CROWDED8, *all_forward_digraphs(5)]:
@@ -863,8 +863,9 @@ class TestFrontier:
         assert verify(D, result.witness).valid
 
     def test_depth_guard(self):
-        # each phase recurses once per vertex, never once per class: k = 156
-        # classes fit in the frames that 24 vertices get
+        # the size phase recurses once per vertex and the class search runs in
+        # one frame, never one per class: k = 156 classes fit in the frames
+        # that 24 vertices get
         D = gen_family("directed_path", 24)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
@@ -876,6 +877,27 @@ class TestFrontier:
         assert result.status == OPTIMAL
         assert result.din == directed_path_din(24) == 156
         assert verify(D, result.witness).valid
+
+    def test_search_takes_about_one_frame_per_vertex(self):
+        # the size phase takes one frame per vertex and the class search one
+        # for all its classes, so k = 156 fits in n + 10 frames above this one
+        n = 24
+        D = gen_family("directed_path", n)
+        search = solver._Search(D, 1_000_000)
+        limit = sys.getrecursionlimit()
+        try:
+            # the lowest limit accepted here is one above the current depth
+            for low in itertools.count(1):
+                try:
+                    sys.setrecursionlimit(low)
+                    break
+                except RecursionError:
+                    pass
+            sys.setrecursionlimit(low + n + 10)
+            witness = search.run(156)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert witness is not None and verify(D, witness).valid
 
 
 def _levels(result):
