@@ -51,7 +51,7 @@ def _general(D: Digraph, fill: Callable[[int, list[set[int]], count], list[list[
     for u, v in D.arcs:
         out[pos[u]].add(pos[v])
     phi = fill(n, out, count())
-    rep = Representation.from_mapping(n, {order[i - 1]: phi[i] for i in range(1, n + 1)})
+    rep = Representation(n, [phi[pos[v]] for v in range(1, n + 1)])
     return restrict(rep, range(1, D.n + 1)) if D.n % 2 else rep
 
 
@@ -249,7 +249,7 @@ def source_arc_path_representation(n: int) -> Representation:
     if not is_int(n) or n % 2 or n < 4:
         raise ValueError(f"source arc-path closed form needs even n >= 4, got {n!r}")
     phi, _ = _source_arc_path(n, count())
-    rep = Representation.from_mapping(n, phi)
+    rep = Representation(n, [phi[v] for v in range(1, n + 1)])
     assert rep.palette_size == source_arc_path_din(n)
     return rep
 
@@ -269,6 +269,6 @@ def augmented_representation(n: int) -> Representation:
         for v in arc:
             phi[v].add(patch)
             phi[v].remove(reservoir[v].pop())
-    rep = Representation.from_mapping(n, phi)
+    rep = Representation(n, [phi[v] for v in range(1, n + 1)])
     assert rep.palette_size == augmented_din(n)
     return rep

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import CyclicGraphError, GraphParseError, SelfLoopError, VertexRangeError
 
@@ -241,44 +241,37 @@ def load_graph(text: str) -> Digraph:
 # family generators
 
 
-def _source_arc_path_arcs(n: int) -> set[Arc]:
-    arcs = {(k, k + 1) for k in range(1, n)}
-    arcs.update((1, 2 * k) for k in range(1, n // 2 + 1))
-    return arcs
+def _source_arc_path_arcs(n: int) -> list[Arc]:
+    return [(k, k + 1) for k in range(1, n)] + [(1, 2 * k) for k in range(1, n // 2 + 1)]
 
 
 def augmented_added_arcs(n: int) -> list[Arc]:
     """The triangle-free bipartite arcs on odd labels that the augmented
-    family adds to the source arc-path, sorted lexicographically."""
+    family adds to the source arc-path, sorted lexicographically: from the
+    odd labels 3..m to the odd labels m+2..n-1, all but (m, m+2), where m is
+    the middle odd label."""
     if not is_int(n) or n % 2 or n < 8:
         raise ValueError(f"augmented source arc-path requires even n >= 8, got {n!r}")
-    if (n - 2) // 2 % 2 == 0:
-        xs = range(3, n // 2 + 1, 2)
-        ys = range(n // 2 + 2, n, 2)
-        drop = (n // 2, n // 2 + 2)
-    else:
-        xs = range(3, n // 2 + 2, 2)
-        ys = range(n // 2 + 3, n, 2)
-        drop = (n // 2 + 1, n // 2 + 3)
-    return sorted({(x, y) for x in xs for y in ys} - {drop})
+    m = n // 2 + (n - 2) // 2 % 2
+    return [(x, y) for x in range(3, m + 1, 2) for y in range(m + 2, n, 2) if (x, y) != (m, m + 2)]
 
 
-FIG3_TREE_SMALL_ARCS: frozenset[Arc] = frozenset({(1, 2), (1, 3), (3, 4)})
-# Six-vertex companion fixture: the four-vertex tree with one more
-# child-with-child branch under the root; exact minimum palette 6.
-FIG3_TREE_LARGE_ARCS: frozenset[Arc] = frozenset(
-    {(1, 2), (1, 3), (3, 4), (1, 5), (5, 6)}
-)
-
-FAMILIES = (
-    "directed_path",
-    "star",
-    "complete_dag",
-    "source_arc_path",
-    "augmented_source_arc_path",
-    "fig3_tree_small",
-    "fig3_tree_large",
-)
+# each parameterized family's arcs on n vertices
+_ARC_BUILDERS: dict[str, Callable[[int], Iterable[Arc]]] = {
+    "directed_path": lambda n: ((k, k + 1) for k in range(1, n)),
+    "star": lambda n: ((k, n) for k in range(1, n)),
+    "complete_dag": lambda n: ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+    "source_arc_path": _source_arc_path_arcs,
+    "augmented_source_arc_path": lambda n: _source_arc_path_arcs(n) + augmented_added_arcs(n),
+}
+# the fixed tree fixtures, as vertex count and arcs; the larger one is the
+# smaller with one more child-with-child branch under the root, exact
+# minimum palette 6
+_FIXED_TREES: dict[str, tuple[int, tuple[Arc, ...]]] = {
+    "fig3_tree_small": (4, ((1, 2), (1, 3), (3, 4))),
+    "fig3_tree_large": (6, ((1, 2), (1, 3), (3, 4), (1, 5), (5, 6))),
+}
+FAMILIES = (*_ARC_BUILDERS, *_FIXED_TREES)
 
 
 def gen_family(family: str, n: int | None = None) -> Digraph:
@@ -287,23 +280,12 @@ def gen_family(family: str, n: int | None = None) -> Digraph:
     The two fixed tree fixtures ignore n.  ``augmented_source_arc_path``
     requires even n >= 8; every other parameterized family requires n >= 2.
     """
-    if family == "fig3_tree_small":
-        return Digraph(4, FIG3_TREE_SMALL_ARCS)
-    if family == "fig3_tree_large":
-        return Digraph(6, FIG3_TREE_LARGE_ARCS)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family in _FIXED_TREES:
+        return Digraph(*_FIXED_TREES[family])
     if n is None:
         raise ValueError(f"family {family!r} requires a vertex count")
     if not is_int(n) or n < 2:
         raise ValueError(f"family {family!r} requires n >= 2, got {n!r}")
-    if family == "directed_path":
-        return Digraph(n, {(k, k + 1) for k in range(1, n)})
-    if family == "star":
-        return Digraph(n, {(k, n) for k in range(1, n)})
-    if family == "complete_dag":
-        return Digraph(n, {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)})
-    if family == "source_arc_path":
-        return Digraph(n, _source_arc_path_arcs(n))
-    # augmented_source_arc_path
-    return Digraph(n, _source_arc_path_arcs(n) | set(augmented_added_arcs(n)))
+    return Digraph(n, _ARC_BUILDERS[family](n))

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .digraph import Digraph, is_int, vertex_subset
 
@@ -64,13 +64,6 @@ class Representation:
                 raise ValueError(f"vertex {v} has a negative color id")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "color_sets", sets)
-
-    @classmethod
-    def from_mapping(cls, n: int, mapping: Mapping[int, Iterable[int]]) -> "Representation":
-        missing = [v for v in range(1, n + 1) if v not in mapping]
-        if missing:
-            raise ValueError(f"mapping misses vertices {missing}")
-        return cls(n, tuple(mapping[v] for v in range(1, n + 1)))
 
     def color_set(self, v: int) -> frozenset[int]:
         return self.color_sets[v - 1]

@@ -292,10 +292,10 @@ class _Search:
                 self.size_functions - size_functions, time.perf_counter() - start,
             ))
         # class i is color i
-        return canonicalize(Representation.from_mapping(self.n, {
-            vertex: {i for i, holders in enumerate(self.classes) if (holders >> p) & 1}
-            for p, vertex in enumerate(self.order)
-        }))
+        return canonicalize(Representation(self.n, [
+            {i for i, holders in enumerate(self.classes) if (holders >> p) & 1}
+            for p in sorted(range(self.n), key=self.order.__getitem__)
+        ]))
 
     def _sizes_dfs(self, p: int) -> bool:
         self.size_nodes += 1
@@ -379,7 +379,7 @@ class _Search:
         for p, s in enumerate(sizes):
             same[s] = same.get(s, 0) | 1 << p
         # two vertices may share a class when adjacent or of equal size
-        compat = self.compat = [a | same[s] for a, s in zip(adj, sizes)]
+        compat = [a | same[s] for a, s in zip(adj, sizes)]
         # the root's state holds the size phase's lists; no kept class writes them
         alive = (1 << self.n) - 1
         stack = [(0, 1, alive & compat[0] & ~1, adj[0] if sizes[0] == 1 else 0, (sizes, adj, self.slack, alive))]
@@ -416,7 +416,7 @@ class _Search:
                     uncovered[m] &= ~members
                     if not need[m]:
                         alive ^= 1 << m
-                if max(need) > self.k - len(classes) or self._over_demand(members, need, spare):
+                if max(need) > self.k - len(classes) or self._over_demand(members, need, spare, compat):
                     continue
                 if not alive:
                     return True
@@ -426,14 +426,14 @@ class _Search:
                               (need, uncovered, spare, alive)))
         return False
 
-    def _over_demand(self, members: int, need: list[int], spare: list[int]) -> bool:
+    def _over_demand(self, members: int, need: list[int], spare: list[int], compat: list[int]) -> bool:
         """Spend the class just taken from ``spare``, its copy of each clique's
         slack, and tell whether one now falls below 0, stopping at the first.
         Slack is the classes left minus the demand, so a class spends one unit
         of it unless it lowers the demand too: it meets one size of a clique
         at most and lowers the largest ``need`` there unless a vertex of that
-        size outside it needs as much."""
-        compat = self.compat
+        size outside it needs as much.  ``compat`` holds, per vertex, the
+        vertices that may share a class with it."""
         for c, q in enumerate(self.cliques):
             inside = q & members
             if inside:

@@ -10,7 +10,7 @@ import pytest
 
 import dinrep
 from dinrep import gen_family, to_edge_list
-from dinrep.cli import _build_parser, main
+from dinrep.cli import _FAMILY_NAMES, _build_parser, main
 from dinrep.solver import DEFAULT_BUDGET, max_search_vertices
 
 
@@ -41,6 +41,22 @@ class TestGen:
         code, stdout, _ = run(capsys, "gen", "fig3-tree-small")
         assert code == 0
         assert stdout == "4\n1 2\n1 3\n3 4\n"
+
+    @pytest.mark.parametrize("name,n", [(name, n) for name in sorted(_FAMILY_NAMES) for n in (8, 12)]
+                             + [("fig3-tree-small", None), ("fig3-tree-large", None)])
+    def test_stdout_is_the_family_edge_list(self, capsys, name, n):
+        family = _FAMILY_NAMES[name]
+        code, stdout, _ = run(capsys, "gen", name, *([] if n is None else [str(n)]))
+        assert code == 0
+        assert stdout == to_edge_list(gen_family(family, n))
+
+    @pytest.mark.parametrize("argv,message", [
+        (["star"], "error: family 'star' requires a vertex count\n"),
+        (["directed-path", "1"], "error: family 'directed_path' requires n >= 2, got 1\n"),
+        (["augmented", "9"], "error: augmented source arc-path requires even n >= 8, got 9\n"),
+    ])
+    def test_error_text(self, capsys, argv, message):
+        assert run(capsys, "gen", *argv) == (2, "", message)
 
     def test_byte_identical_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.g", tmp_path / "b.g"

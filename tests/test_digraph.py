@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinrep import (
+    FAMILIES,
     CyclicGraphError,
     Digraph,
     GraphParseError,
@@ -318,7 +319,72 @@ class TestInducedSubgraph:
             induced_subgraph(gen_family("directed_path", 4), vertices)
 
 
+def _augmented_added_reference(n):
+    """The augmented family's added arcs by their two-branch definition, on
+    the parity of (n - 2) / 2."""
+    if (n - 2) // 2 % 2 == 0:
+        xs = range(3, n // 2 + 1, 2)
+        ys = range(n // 2 + 2, n, 2)
+        drop = (n // 2, n // 2 + 2)
+    else:
+        xs = range(3, n // 2 + 2, 2)
+        ys = range(n // 2 + 3, n, 2)
+        drop = (n // 2 + 1, n // 2 + 3)
+    return sorted({(x, y) for x in xs for y in ys} - {drop})
+
+
+def _family_reference(family, n):
+    path = {(k, k + 1) for k in range(1, n)}
+    return {
+        "directed_path": path,
+        "star": {(k, n) for k in range(1, n)},
+        "complete_dag": {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)},
+        "source_arc_path": path | {(1, j) for j in range(2, n + 1, 2)},
+    }[family]
+
+
 class TestFamilies:
+    def test_family_names_in_order(self):
+        assert FAMILIES == (
+            "directed_path", "star", "complete_dag", "source_arc_path",
+            "augmented_source_arc_path", "fig3_tree_small", "fig3_tree_large",
+        )
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    @pytest.mark.parametrize("family", ["directed_path", "star", "complete_dag", "source_arc_path"])
+    def test_family_matches_its_definition(self, family, n):
+        D = gen_family(family, n)
+        assert D.n == n
+        assert D.arcs == _family_reference(family, n)
+
+    @pytest.mark.parametrize("n", range(8, 61, 2))
+    def test_augmented_matches_the_two_branch_definition(self, n):
+        added = _augmented_added_reference(n)
+        assert augmented_added_arcs(n) == added
+        D = gen_family("augmented_source_arc_path", n)
+        assert D.n == n
+        assert D.arcs == _family_reference("source_arc_path", n) | set(added)
+
+    @pytest.mark.parametrize("family,n,arcs", [
+        ("fig3_tree_small", 4, {(1, 2), (1, 3), (3, 4)}),
+        ("fig3_tree_large", 6, {(1, 2), (1, 3), (3, 4), (1, 5), (5, 6)}),
+    ])
+    def test_fixture_arcs_and_vertex_count(self, family, n, arcs):
+        for given_n in (None, 2, 10):
+            D = gen_family(family, given_n)
+            assert (D.n, D.arcs) == (n, arcs)
+
+    @pytest.mark.parametrize("family,n,message", [
+        ("directed_path", None, "family 'directed_path' requires a vertex count"),
+        ("star", 1, "family 'star' requires n >= 2, got 1"),
+        ("augmented_source_arc_path", 9, "augmented source arc-path requires even n >= 8, got 9"),
+        ("augmented_source_arc_path", None, "family 'augmented_source_arc_path' requires a vertex count"),
+    ])
+    def test_error_text(self, family, n, message):
+        with pytest.raises(ValueError) as info:
+            gen_family(family, n)
+        assert str(info.value) == message
+
     def test_source_arc_path_4(self):
         assert gen_family("source_arc_path", 4).arcs == {(1, 2), (1, 4), (2, 3), (3, 4)}
 

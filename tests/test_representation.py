@@ -108,10 +108,6 @@ class TestVerify:
         with pytest.raises(ValueError, match="expected 2 color sets, got 1"):
             Representation(2, [{0}])
 
-    def test_mapping_must_cover_every_vertex(self):
-        with pytest.raises(ValueError, match=r"mapping misses vertices \[2\]"):
-            Representation.from_mapping(2, {1: {0}})
-
     @settings(deadline=None, max_examples=300)
     @given(digraph_and_rep())
     def test_agrees_with_independent_reimplementation(self, pair):

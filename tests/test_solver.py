@@ -529,9 +529,9 @@ class TestColorCountingBounds:
         over_demand = solver._Search._over_demand
         checked = 0
 
-        def checking(self, members, need, spare):
+        def checking(self, members, need, spare, compat):
             nonlocal checked
-            over = over_demand(self, members, need, spare)
+            over = over_demand(self, members, need, spare, compat)
             if not over:
                 for c, q in enumerate(self.cliques):
                     most = {}
@@ -580,8 +580,8 @@ class TestColorCountingBounds:
                     most[self.sizes[w]] = max(most.get(self.sizes[w], 0), need[w])
             return sum(most.values())
 
-        def checking(self, members, need, spare):
-            over = over_demand(self, members, need, spare)
+        def checking(self, members, need, spare, compat):
+            over = over_demand(self, members, need, spare, compat)
             left = self.k - len(self.classes)
             assert over == any(demand(self, q, need) > left for q in self.cliques), (self.sizes, need)
             seen.append(over)
