@@ -147,7 +147,7 @@ def _cmd_din(args) -> int:
             "elapsed": result.elapsed,
             "best_upper": result.best_upper,
             "best_lower": best_lower,
-            "levels": [vars(level) for level in result.levels],
+            "levels": [level._asdict() for level in result.levels],
         }
         if result.witness is not None:
             obj["witness"] = rep_to_obj(result.witness)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import CyclicGraphError, GraphParseError, SelfLoopError, VertexRangeError
 
@@ -25,12 +24,30 @@ def is_int(x: object) -> bool:
     return type(x) is int
 
 
-@dataclass(frozen=True)
-class Digraph:
+class _Frozen:
+    """Value semantics for Digraph and Representation: equal within a class and
+    hashed by ``_fields``, read-only once ``__init__`` fills ``vars(self)``."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete attribute {name!r}")
+    __delattr__ = __setattr__
+
+
+class Digraph(_Frozen):
     """Immutable directed graph on vertices 1..n with an explicit arc set."""
 
     n: int
     arcs: frozenset[Arc]
+    _fields = ("n", "arcs")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()):
         if not is_int(n) or n < 1:
@@ -43,8 +60,7 @@ class Digraph:
                 raise SelfLoopError(f"self-loop on vertex {t}")
             if not (1 <= t <= n and 1 <= h <= n):
                 raise VertexRangeError(f"arc ({t}, {h}) outside vertex range 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", frozenset(pairs))
+        vars(self).update(n=n, arcs=frozenset(pairs))
 
     @property
     def vertices(self) -> range:
@@ -77,8 +93,7 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={sorted(self.arcs)})"
 
 
-@dataclass(frozen=True)
-class LevelDecomposition:
+class LevelDecomposition(NamedTuple):
     """Longest-path levels of a DAG.
 
     ``gamma[v - 1]`` is the arc count of the longest directed path ending at

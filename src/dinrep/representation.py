@@ -12,12 +12,11 @@ pair, in both directions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, NamedTuple
 
-from .digraph import Digraph, is_int, vertex_subset
+from .digraph import Digraph, _Frozen, is_int, vertex_subset
 
 MISSING_INTERSECTION = "missing-intersection"
 SIZE_NOT_INCREASING = "size-not-increasing"
@@ -30,14 +29,12 @@ class Violation(NamedTuple):
     kind: str
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     valid: bool
     violations: tuple[Violation, ...]
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(_Frozen):
     """Immutable vertex -> color-set assignment for vertices 1..n.
 
     Colors are opaque non-negative ints (not bools); the palette is the
@@ -47,6 +44,7 @@ class Representation:
 
     n: int
     color_sets: tuple[frozenset[int], ...]
+    _fields = ("n", "color_sets")
 
     def __init__(self, n: int, color_sets: Iterable[Iterable[int]]):
         sets = tuple(map(frozenset, color_sets))
@@ -62,8 +60,7 @@ class Representation:
                 raise ValueError(f"vertex {v} has a color id that is not an integer")
             if min(s) < 0:
                 raise ValueError(f"vertex {v} has a negative color id")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "color_sets", sets)
+        vars(self).update(n=n, color_sets=sets)
 
     def color_set(self, v: int) -> frozenset[int]:
         return self.color_sets[v - 1]

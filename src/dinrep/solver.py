@@ -59,13 +59,12 @@ Everything is deterministic: fixed orders, fixed enumeration, no RNG.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, count, groupby, permutations, product
+from typing import NamedTuple
 
 from .constructors import inductive_construction, pairing_construction
 from .digraph import Digraph, is_acyclic, is_int, left_to_right_order
@@ -90,26 +89,26 @@ _PRUNE_MAX_VERTICES = 24
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SolveBudget:
+class SolveBudget(NamedTuple("SolveBudget", [("max_nodes", int)])):
     """Cap on the exact search: explored nodes.
 
     The deepening needs no palette ceiling: the constructions bound the DIN,
     so on a DAG running out of nodes is the only way a search stops short.
     """
 
-    max_nodes: int = 100_000_000
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace runs the check
 
-    def __post_init__(self):
-        if not is_int(self.max_nodes) or self.max_nodes < 1:
-            raise ValueError(f"node budget must be a positive integer, got {self.max_nodes!r}")
+    def __new__(cls, max_nodes: int = 100_000_000):
+        if not is_int(max_nodes) or max_nodes < 1:
+            raise ValueError(f"node budget must be a positive integer, got {max_nodes!r}")
+        return super().__new__(cls, max_nodes)
 
 
 DEFAULT_BUDGET = SolveBudget()
 
 
-@dataclass(frozen=True)
-class LevelStats:
+class LevelStats(NamedTuple):
     """Work done by the decision search at one palette size k."""
 
     k: int
@@ -119,8 +118,7 @@ class LevelStats:
     seconds: float
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str  # one of OPTIMAL, INFEASIBLE, BUDGET_EXHAUSTED
     din: int | None
     witness: Representation | None
@@ -131,8 +129,7 @@ class SolveResult:
     levels: tuple[LevelStats, ...] = ()
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool | None  # None means unknown (budget ran out)
     witness: Representation | None
     nodes_explored: int
@@ -593,6 +590,7 @@ def extremal_din(
     todo = list(first.values())
     solve = partial(_din, n, budget or DEFAULT_BUDGET)
     if workers > 1:
+        import multiprocessing  # only a parallel sweep pays for loading it
         with multiprocessing.Pool(workers) as pool:
             solved = pool.map(solve, todo, chunksize=64)
     else:

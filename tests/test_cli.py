@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dinrep
-from dinrep import gen_family, to_edge_list
+from dinrep import exact_din, gen_family, to_edge_list
 from dinrep.cli import _FAMILY_NAMES, _build_parser, main
 from dinrep.solver import DEFAULT_BUDGET, max_search_vertices
 
@@ -325,6 +325,16 @@ class TestDin:
         assert obj["levels"][-1]["size_nodes"] > 0
         assert json.loads(w.read_text())["n"] == 3
 
+    def test_levels_are_the_level_records(self, capsys, tmp_path):
+        D = gen_family("fig3_tree_large")
+        g = tmp_path / "tree.g"
+        g.write_text(to_edge_list(D))
+        code, stdout, _ = run(capsys, "din", str(g), "--json")
+        assert code == 0
+        # the same fields and values; only the timings differ
+        assert ([dict(level, seconds=0) for level in json.loads(stdout)["levels"]]
+                == [level._replace(seconds=0)._asdict() for level in exact_din(D).levels])
+
     def test_witness_file_text_mode(self, capsys, tmp_path):
         g = tmp_path / "sap4.g"
         w = tmp_path / "w.json"
@@ -417,6 +427,17 @@ class TestBudgetDefault:
 def _fresh_process(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(dinrep.__file__).parents[1]))
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+class TestStartup:
+    """A plain run generates no code at import and loads no worker pool."""
+
+    def test_cli_import_loads_no_heavy_module(self):
+        # -S keeps site hooks from loading modules before dinrep does
+        probe = ("import sys, dinrep.cli; "
+                 "print(sorted({'multiprocessing', 'dataclasses', 'inspect'} & set(sys.modules)))")
+        result = _fresh_process("-S", "-c", probe)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 class TestParserReuse:

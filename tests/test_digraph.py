@@ -207,6 +207,58 @@ class TestDigraphInvariants:
             Digraph(True)
 
 
+# each factory builds a new instance with the same fields on every call
+_VALUES = {
+    "digraph": lambda: Digraph(3, [(1, 2), (2, 3)]),
+    "representation": lambda: Representation(3, [{0}, {0, 1}, {1, 2, 3}]),
+}
+
+
+class TestValueSemantics:
+    """Digraph and Representation compare and hash by their fields and
+    refuse every assignment and deletion."""
+
+    @pytest.mark.parametrize("make", _VALUES.values(), ids=_VALUES)
+    def test_equal_hashed_and_members_by_fields(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert b in {a} and len({a, b}) == 1
+
+    def test_unequal_fields(self):
+        assert Digraph(3, [(1, 2)]) != Digraph(3, [(2, 3)]) != Digraph(4, [(2, 3)])
+        assert Representation(2, [{0}, {1}]) != Representation(2, [{0}, {0}])
+        assert len({Digraph(2), Digraph(2, [(1, 2)]), Digraph(3), Representation(2, [{0}, {1}])}) == 4
+
+    def test_no_equality_across_classes(self):
+        D, rep = _VALUES["digraph"](), _VALUES["representation"]()
+        assert D.__eq__(rep) is rep.__eq__(D) is NotImplemented
+        assert D != rep and rep != D
+        # nor with a tuple of the very same fields
+        assert D != (D.n, D.arcs) and rep != (rep.n, rep.color_sets)
+
+    @pytest.mark.parametrize("make", _VALUES.values(), ids=_VALUES)
+    @pytest.mark.parametrize("name", ["n", "arcs", "color_sets", "palette_size", "_gamma", "extra"])
+    def test_assignment_and_deletion_refused(self, make, name):
+        value = make()
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert value == make()
+
+    def test_gamma_computed_once(self, monkeypatch):
+        calls = []
+        gamma = Digraph.__dict__["_gamma"].func
+        monkeypatch.setattr(Digraph.__dict__["_gamma"], "func", lambda D: calls.append(D) or gamma(D))
+        D = _VALUES["digraph"]()
+        assert longest_path_levels(D).gamma == (0, 1, 2)
+        assert left_to_right_order(D) == (1, 2, 3) and is_acyclic(D)
+        assert len(calls) == 1 and vars(D)["_gamma"] is D._gamma
+        # the cached value is no field
+        assert D == _VALUES["digraph"]() and hash(D) == hash(_VALUES["digraph"]())
+
+
 class TestAcyclicity:
     def test_triangle_cyclic(self):
         assert not is_acyclic(TRIANGLE)

@@ -2,6 +2,8 @@
 
 import itertools
 import logging
+import multiprocessing
+import pickle
 import random
 import sys
 
@@ -9,14 +11,17 @@ import pytest
 
 from dinrep import (
     BUDGET_EXHAUSTED,
+    DEFAULT_BUDGET,
     BudgetExhaustedError,
     INFEASIBLE,
     OPTIMAL,
     CyclicGraphError,
     Digraph,
+    LevelStats,
     Representation,
     SearchDepthError,
     SolveBudget,
+    ValidityReport,
     directed_path_din,
     exact_din,
     extremal_din,
@@ -191,6 +196,38 @@ class TestExactDin:
         assert 0 < result.levels[-1].size_nodes < result.levels[-1].nodes
 
 
+class TestRecords:
+    """The budget and the result records are NamedTuples that keep the
+    constructors, checks and reprs they had as frozen dataclasses."""
+
+    def test_budget_forms(self):
+        assert SolveBudget() == SolveBudget(100_000_000) == SolveBudget(max_nodes=100_000_000) == DEFAULT_BUDGET
+        assert SolveBudget(7).max_nodes == SolveBudget(max_nodes=7).max_nodes == 7
+        assert type(DEFAULT_BUDGET._replace(max_nodes=7)) is SolveBudget
+        assert DEFAULT_BUDGET._replace(max_nodes=7) == SolveBudget._make([7]) == SolveBudget(7)
+
+    @pytest.mark.parametrize("max_nodes", [0, -1, 1.5, True])
+    def test_budget_error_text(self, max_nodes):
+        for build in (lambda: SolveBudget(max_nodes), lambda: SolveBudget(max_nodes=max_nodes),
+                      lambda: DEFAULT_BUDGET._replace(max_nodes=max_nodes)):
+            with pytest.raises(ValueError) as error:
+                build()
+            assert str(error.value) == f"node budget must be a positive integer, got {max_nodes!r}"
+
+    def test_budget_pickles(self):
+        # a parallel sweep sends the budget to each worker
+        budget = pickle.loads(pickle.dumps(SolveBudget(12_345)))
+        assert type(budget) is SolveBudget and budget == SolveBudget(12_345)
+
+    def test_reprs(self):
+        assert repr(SolveBudget()) == "SolveBudget(max_nodes=100000000)"
+        assert (repr(LevelStats(3, 10, 4, 1, 0.5))
+                == "LevelStats(k=3, nodes=10, size_nodes=4, size_functions=1, seconds=0.5)")
+        assert repr(ValidityReport(True, ())) == "ValidityReport(valid=True, violations=())"
+        assert (repr(verify(Digraph(2, [(1, 2)]), Representation(2, [{0}, {1, 2}])))
+                == "ValidityReport(valid=False, violations=(Violation(u=1, v=2, kind='missing-intersection'),))")
+
+
 class TestFeasibleWithPalette:
     def test_single_arc_brackets(self):
         D = Digraph(2, {(1, 2)})
@@ -335,7 +372,7 @@ class TestExtremal:
             def map(self, fn, items, chunksize=1):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(solver.multiprocessing, "Pool", Pool)
+        monkeypatch.setattr(multiprocessing, "Pool", Pool)
         monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
         return sizes
 

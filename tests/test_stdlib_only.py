@@ -1,5 +1,6 @@
-"""dinrep itself depends on nothing outside the standard library, and its
-source parses as the oldest Python that ``pyproject.toml`` claims.
+"""dinrep itself depends on nothing outside the standard library, its
+source parses as the oldest Python that ``pyproject.toml`` claims, and no
+module of it imports ``dataclasses``.
 
 Test-only dependencies (hypothesis, scipy) must never leak into ``src/``.
 """
@@ -37,3 +38,16 @@ def test_every_module_parses_as_python_3_10():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_no_module_imports_dataclasses():
+    # @dataclass writes and compiles methods when its module is imported;
+    # value classes here are NamedTuples or subclass digraph._Frozen
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [path.name for alias in node.names if alias.name == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found.append(path.name)
+    assert found == []
