@@ -224,11 +224,22 @@ def to_edge_list(D: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: the object as a dict, or
+    ValueError on a repeated key, which would otherwise keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def graph_from_json(text: str) -> Digraph:
     """Parse the JSON graph form {"n": int, "arcs": [[t, h], ...]}."""
     try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # bad JSON or a repeated key
         raise GraphParseError(f"invalid JSON graph: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
         raise GraphParseError("JSON graph must be an object with 'n' and 'arcs'")

@@ -16,7 +16,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, NamedTuple
 
-from .digraph import Digraph, _Frozen, is_int, vertex_subset
+from .digraph import Digraph, _Frozen, _unique_keys, is_int, vertex_subset
 
 MISSING_INTERSECTION = "missing-intersection"
 SIZE_NOT_INCREASING = "size-not-increasing"
@@ -174,8 +174,8 @@ def rep_from_json(text: str) -> Representation:
     ``phi`` must map exactly the labels "1".."n" to lists of integers.
     """
     try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # bad JSON or a repeated key
         raise ValueError(f"invalid representation JSON: {exc}") from None
     if not isinstance(obj, dict) or "n" not in obj or "phi" not in obj:
         raise ValueError("representation JSON must be an object with 'n' and 'phi'")

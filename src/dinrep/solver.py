@@ -275,13 +275,7 @@ class _Search:
             if k < self.least:
                 return None
             self.k = k
-            # per clique: bitmask of the distinct sizes given so far, and the
-            # colors it can still spare, k minus their sum; classes spend a copy
-            self.held = [0] * len(self.cliques)
-            self.slack = [k] * len(self.cliques)
-            # the size of each sized vertex, the dynamic floor of the others
-            self.sizes = list(self.floor)
-            if not self._sizes_dfs(0):
+            if not self._sizes_dfs(0, list(self.floor), [0] * len(self.cliques), [k] * len(self.cliques)):
                 return None
         finally:
             self.levels.append(LevelStats(
@@ -294,18 +288,23 @@ class _Search:
             for p in sorted(range(self.n), key=self.order.__getitem__)
         ]))
 
-    def _sizes_dfs(self, p: int) -> bool:
+    def _sizes_dfs(self, p: int, sizes: list[int], held: list[int], slack: list[int]) -> bool:
+        """Whether sizes for positions p onward complete a size function the
+        class search accepts.  ``sizes`` holds each sized vertex's size and
+        the others' dynamic floors; per clique, ``held`` masks the distinct
+        sizes given so far and ``slack`` is k minus their sum.  No call
+        writes the lists it is handed: each value of p gets its own copy of
+        ``sizes``, and of ``held`` and ``slack`` if it adds a size to a clique."""
         self.size_nodes += 1
         self._tick()
         if p == self.n:
             self.size_functions += 1
-            return self._classes()
+            return self._classes(sizes, slack)
         # p's in-neighbors are sized, so its dynamic floor exceeds each
-        sizes, in_prev = self.sizes, self.in_prev
         lo, hi = sizes[p], self.k - self.h_out[p]
         # the sizes in [lo, hi] that each clique through p already holds or
         # still has the slack for
-        through, held, slack = self.through[p], self.held, self.slack
+        through = self.through[p]
         cliques, adj, late, early = self.cliques, self.adj, self.late[p], (1 << p) - 1
         values = ((2 << hi) - 1) >> lo << lo
         for c in through:
@@ -321,35 +320,31 @@ class _Search:
                         seen |= 1 << sizes[x]
                     if seen.bit_count() >= sizes[w]:
                         values &= seen
-        below, checks = self.below[p], self.checks[p]
-        saved = sizes[p:]
+        below, checks, in_prev = self.below[p], self.checks[p], self.in_prev
         while values:
             bit = values & -values
             values ^= bit
             value = bit.bit_length() - 1
-            sizes[p] = value
-            # p's values rise and each child restores sizes[p + 1:], so
+            child = sizes[:]
+            child[p] = value
             # raising p's descendants in position order keeps their floors
             for w in below:
                 for q in in_prev[w]:
-                    if sizes[q] >= sizes[w]:
-                        sizes[w] = sizes[q] + 1
+                    if child[q] >= child[w]:
+                        child[w] = child[q] + 1
             added = [c for c in through if not held[c] & bit]
+            child_held, child_slack = (held[:], slack[:]) if added else (held, slack)
             for c in added:
-                held[c] |= bit
-                slack[c] -= value
-            if not (checks and self._refuted(checks)) and self._sizes_dfs(p + 1):
+                child_held[c] |= bit
+                child_slack[c] -= value
+            refuted = checks and self._refuted(checks, child, child_held, child_slack)
+            if not refuted and self._sizes_dfs(p + 1, child, child_held, child_slack):
                 return True
-            for c in added:
-                held[c] ^= bit
-                slack[c] += value
-        sizes[p:] = saved
         return False
 
-    def _refuted(self, checks) -> bool:
+    def _refuted(self, checks, sizes: list[int], held: list[int], slack: list[int]) -> bool:
         """Whether a chain in ``checks`` needs more new sizes than its clique
         has slack for."""
-        sizes, held, slack = self.sizes, self.held, self.slack
         for c, chain in checks:
             # the floors rise along the chain, and each above the largest
             # size the clique holds is a new distinct size
@@ -361,7 +356,7 @@ class _Search:
                         return True
         return False
 
-    def _classes(self) -> bool:
+    def _classes(self, sizes: list[int], slack: list[int]) -> bool:
         """Decide the size function by classes in one loop over open branches,
         depth first.  A branch grows one class: (classes kept before it,
         members so far, candidates, members it must take, state), the state
@@ -371,15 +366,15 @@ class _Search:
         order; a vertex whose need runs out has every arc covered.  A kept
         class changes its own copies of the state's lists and opens one
         branch, so a popped branch restores nothing but the class list."""
-        sizes, adj, classes = self.sizes, self.adj, self.classes
+        adj, classes = self.adj, self.classes
         same = {}
         for p, s in enumerate(sizes):
             same[s] = same.get(s, 0) | 1 << p
         # two vertices may share a class when adjacent or of equal size
         compat = [a | same[s] for a, s in zip(adj, sizes)]
-        # the root's state holds the size phase's lists; no kept class writes them
+        # the root's state holds the lists handed in, which siblings may share; no kept class writes them
         alive = (1 << self.n) - 1
-        stack = [(0, 1, alive & compat[0] & ~1, adj[0] if sizes[0] == 1 else 0, (sizes, adj, self.slack, alive))]
+        stack = [(0, 1, alive & compat[0] & ~1, adj[0] if sizes[0] == 1 else 0, (sizes, adj, slack, alive))]
         while stack:
             depth, members, cand, required, state = stack.pop()
             need, uncovered, spare, alive = state

@@ -227,6 +227,18 @@ class TestMalformedJson:
     def test_bad_representation(self, capsys, tmp_path, graph, rep):
         self._expect_usage_error(capsys, tmp_path, graph, rep, ["verify", "{graph}", "{rep}"])
 
+    @pytest.mark.parametrize("graph,rep,command,message", [
+        ('{"n": 3, "n": 2, "arcs": [[1, 2]]}', GOOD_REP, ["din", "{graph}"],
+         "invalid JSON graph: duplicate key 'n'"),
+        # the last of the two sets for vertex 3 would make a valid representation
+        ("3\n1 2\n2 3\n", '{"n": 3, "phi": {"1": [0], "2": [0, 1], "3": [0], "3": [1, 2, 3]}}',
+         ["verify", "{graph}", "{rep}"], "invalid representation JSON: duplicate key '3'"),
+    ], ids=["din-graph", "verify-representation"])
+    def test_duplicate_key(self, capsys, tmp_path, graph, rep, command, message):
+        """A repeated JSON key is refused, not read as its last value."""
+        err = self._expect_usage_error(capsys, tmp_path, graph, rep, command)
+        assert err == f"error: {message}\n"
+
     @staticmethod
     def _expect_usage_error(capsys, tmp_path, graph, rep, command):
         g, r = tmp_path / "g", tmp_path / "r.json"
@@ -237,6 +249,7 @@ class TestMalformedJson:
         assert code == 2
         assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
 
 class TestDin:

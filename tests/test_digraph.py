@@ -148,8 +148,10 @@ class TestParsing:
         ('{"n": 2, "arcs": [[true, 2]]}', "not a .* pair of integers"),
         ('{"n": 2, "arcs": ["12"]}', "not a .* pair of integers"),
         ('{"n": ' + "[" * 100_000, "invalid JSON graph"),
+        ('{"n": 3, "n": 2, "arcs": [[1, 2]]}', "^invalid JSON graph: duplicate key 'n'$"),
+        ('{"n": 2, "arcs": [], "arcs": [[1, 2]]}', "^invalid JSON graph: duplicate key 'arcs'$"),
     ], ids=["arcs-not-list", "three-element-arc", "float-endpoint", "bool-endpoint",
-            "string-arc", "deeply-nested"])
+            "string-arc", "deeply-nested", "duplicate-n", "duplicate-arcs"])
     def test_malformed_json(self, text, message):
         with pytest.raises(GraphParseError, match=message):
             graph_from_json(text)

@@ -268,8 +268,11 @@ class TestJson:
         ('{"n": true, "phi": {"1": [0]}}', "'n' must be a positive integer"),
         ('{"n": 10000000000000, "phi": {}}', "keys must be exactly the labels"),
         ('{"n": 2, "phi": ' + "[" * 100_000, "invalid representation JSON"),
+        ('{"n": 2, "phi": {"1": [0], "2": [0], "2": [0, 1]}}', "^invalid representation JSON: duplicate key '2'$"),
+        ('{"n": 3, "n": 2, "phi": {"1": [0], "2": [0, 1]}}', "^invalid representation JSON: duplicate key 'n'$"),
     ], ids=["string-colors", "float-color", "bool-color", "key-above-n", "padded-key",
-            "missing-vertex", "phi-list", "string-n", "bool-n", "huge-n", "deeply-nested"])
+            "missing-vertex", "phi-list", "string-n", "bool-n", "huge-n", "deeply-nested",
+            "duplicate-vertex", "duplicate-n"])
     def test_malformed_json(self, text, message):
         with pytest.raises(ValueError, match=message):
             rep_from_json(text)

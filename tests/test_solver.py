@@ -563,38 +563,46 @@ class TestColorCountingBounds:
         """After every class the search keeps, each clique's slack is the
         classes left minus its demand, the largest need of each of its sizes,
         summed."""
-        over_demand = solver._Search._over_demand
+        classes, over_demand = solver._Search._classes, solver._Search._over_demand
+        deciding = {}
         checked = 0
+
+        def recording(self, sizes, slack):
+            deciding["sizes"] = sizes
+            return classes(self, sizes, slack)
 
         def checking(self, members, need, spare, compat):
             nonlocal checked
+            sizes = deciding["sizes"]
             over = over_demand(self, members, need, spare, compat)
             if not over:
                 for c, q in enumerate(self.cliques):
                     most = {}
                     for w in range(self.n):
                         if (q >> w) & 1:
-                            most[self.sizes[w]] = max(most.get(self.sizes[w], 0), need[w])
-                    assert spare[c] == self.k - len(self.classes) - sum(most.values()), (self.sizes, need, c)
+                            most[sizes[w]] = max(most.get(sizes[w], 0), need[w])
+                    assert spare[c] == self.k - len(self.classes) - sum(most.values()), (sizes, need, c)
                 checked += 1
             return over
 
+        monkeypatch.setattr(solver._Search, "_classes", recording)
         monkeypatch.setattr(solver._Search, "_over_demand", checking)
         for D in [H7, *all_forward_digraphs(5)]:
             assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
         assert checked > 0
 
     def test_refuted_size_function_leaves_the_size_state(self, monkeypatch):
-        """The class search leaves the size phase's clique sizes, slack and
-        sizes as it found them, whether it refutes the size function or not."""
+        """The class search leaves the sizes and slack it is handed as it
+        found them, whether it refutes the size function or not: sibling
+        size functions share those lists."""
         classes = solver._Search._classes
         refuted = 0
 
-        def checking(self):
+        def checking(self, sizes, slack):
             nonlocal refuted
-            before = (self.held[:], self.slack[:], self.sizes[:])
-            found = classes(self)
-            assert (self.held, self.slack, self.sizes) == before, before
+            before = (sizes[:], slack[:])
+            found = classes(self, sizes, slack)
+            assert (sizes, slack) == before, before
             refuted += not found
             return found
 
@@ -603,27 +611,53 @@ class TestColorCountingBounds:
             assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
         assert refuted > 0
 
+    def test_size_enumeration_leaves_the_lists_it_is_handed(self, monkeypatch):
+        """No size node writes the sizes, clique sizes or slack it is handed,
+        whether a witness lies below it or not: a value that adds no size to
+        a clique hands its children the parent's clique lists."""
+        sizes_dfs = solver._Search._sizes_dfs
+        results = set()
+
+        def checking(self, p, sizes, held, slack):
+            before = (sizes[:], held[:], slack[:])
+            found = sizes_dfs(self, p, sizes, held, slack)
+            assert (sizes, held, slack) == before, (self.order, p, before)
+            results.add(found)
+            return found
+
+        monkeypatch.setattr(solver._Search, "_sizes_dfs", checking)
+        for D in [H7, CROWDED8, *all_forward_digraphs(5)]:
+            assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
+        assert results == {True, False}
+
     def test_over_demand_answers_the_definition(self, monkeypatch):
         """After every class, the demand check says whether some clique
         needs more classes than are left: the largest need of each of its
         sizes, summed, since two sizes share no class."""
-        over_demand = solver._Search._over_demand
+        classes, over_demand = solver._Search._classes, solver._Search._over_demand
+        deciding = {}
         seen = []
 
+        def recording(self, sizes, slack):
+            deciding["sizes"] = sizes
+            return classes(self, sizes, slack)
+
         def demand(self, q, need):
+            sizes = deciding["sizes"]
             most = {}
             for w in range(self.n):
                 if (q >> w) & 1:
-                    most[self.sizes[w]] = max(most.get(self.sizes[w], 0), need[w])
+                    most[sizes[w]] = max(most.get(sizes[w], 0), need[w])
             return sum(most.values())
 
         def checking(self, members, need, spare, compat):
             over = over_demand(self, members, need, spare, compat)
             left = self.k - len(self.classes)
-            assert over == any(demand(self, q, need) > left for q in self.cliques), (self.sizes, need)
+            assert over == any(demand(self, q, need) > left for q in self.cliques), (deciding["sizes"], need)
             seen.append(over)
             return over
 
+        monkeypatch.setattr(solver._Search, "_classes", recording)
         monkeypatch.setattr(solver._Search, "_over_demand", checking)
         for D in [H7, CROWDED8, *all_forward_digraphs(5)]:
             assert exact_din(D).status == OPTIMAL, sorted(D.arcs)
@@ -651,10 +685,10 @@ class TestColorCountingBounds:
                     seen["later"] += 1
                 super().append(members)
 
-        def checking(self):
+        def checking(self, *args):
             if type(self.classes) is list:
                 self.classes = Ordered(self.classes)
-            return classes(self)
+            return classes(self, *args)
 
         monkeypatch.setattr(solver._Search, "_classes", checking)
         for D in [H7, CROWDED8, *all_forward_digraphs(5)]:
@@ -691,7 +725,7 @@ class TestLookAhead:
     def _check_same(self, monkeypatch, D):
         ahead = exact_din(D)
         with monkeypatch.context() as m:
-            m.setattr(solver._Search, "_refuted", lambda self, checks: False)
+            m.setattr(solver._Search, "_refuted", lambda self, *args: False)
             plain = exact_din(D)
         assert ahead.status == plain.status == OPTIMAL, sorted(D.arcs)
         assert ahead.din == plain.din, sorted(D.arcs)
@@ -719,19 +753,19 @@ class TestLookAhead:
         sizes_dfs, refuted = solver._Search._sizes_dfs, solver._Search._refuted
         seen = {"sizes": 0, "refuted": 0}
 
-        def checking_sizes(self, p):
+        def checking_sizes(self, p, sizes, held, slack):
             for w in range(p, self.n):
-                want = max([self.floor[w], *(self.sizes[q] + 1 for q in self.in_prev[w])])
-                assert self.sizes[w] == want, (self.order, self.sizes, p, w)
+                want = max([self.floor[w], *(sizes[q] + 1 for q in self.in_prev[w])])
+                assert sizes[w] == want, (self.order, sizes, p, w)
             seen["sizes"] += 1
-            return sizes_dfs(self, p)
+            return sizes_dfs(self, p, sizes, held, slack)
 
-        def checking_refuted(self, checks):
+        def checking_refuted(self, checks, sizes, held, slack):
             for _, chain in checks:
-                values = [self.sizes[w] for w in chain]
-                assert values == sorted(set(values)), (self.order, self.sizes, chain)
+                values = [sizes[w] for w in chain]
+                assert values == sorted(set(values)), (self.order, sizes, chain)
             seen["refuted"] += 1
-            return refuted(self, checks)
+            return refuted(self, checks, sizes, held, slack)
 
         monkeypatch.setattr(solver._Search, "_sizes_dfs", checking_sizes)
         monkeypatch.setattr(solver._Search, "_refuted", checking_refuted)
@@ -808,12 +842,12 @@ class TestNeighbourBound:
             init(self, D, max_nodes)
             seen["arcs"] = _position_arcs(self, D)
 
-        def checking_sizes(self, p):
+        def checking_sizes(self, p, sizes, held, slack):
             for w in range(p):
-                assert not TestNeighbourBound._by_definition(seen["arcs"], self.sizes, w, p - 1), (
-                    self.order, self.sizes, w, p)
+                assert not TestNeighbourBound._by_definition(seen["arcs"], sizes, w, p - 1), (
+                    self.order, sizes, w, p)
             seen["entries"] += 1
-            return sizes_dfs(self, p)
+            return sizes_dfs(self, p, sizes, held, slack)
 
         monkeypatch.setattr(solver._Search, "__init__", recording_init)
         monkeypatch.setattr(solver._Search, "_sizes_dfs", checking_sizes)
