@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property, reduce
-from operator import or_
+from itertools import islice
+from operator import eq, or_
 from typing import Iterable, NamedTuple
 
 from .digraph import Digraph, _Frozen, _unique_keys, is_int, vertex_subset
@@ -39,35 +40,49 @@ class Representation(_Frozen):
 
     Colors are opaque non-negative ints (not bools); the palette is the
     union of all sets and need not be contiguous (``canonicalize`` produces
-    the 0..k-1 form).
+    the 0..k-1 form).  Each set is kept once, as a tuple of distinct ids in
+    ascending order; ``color_sets`` is a derived view of frozensets, built
+    on first read.
     """
 
     n: int
-    color_sets: tuple[frozenset[int], ...]
-    _fields = ("n", "color_sets")
+    _sorted: tuple[tuple[int, ...], ...]
+    _fields = ("n", "_sorted")
 
     def __init__(self, n: int, color_sets: Iterable[Iterable[int]]):
-        sets = tuple(map(frozenset, color_sets))
         if not is_int(n) or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+        sets = tuple(color_sets)
         if len(sets) != n:
             raise ValueError(f"expected {n} color sets, got {len(sets)}")
+        kept = []
         for v, s in enumerate(sets, start=1):
+            s = list(s)
             if not s:
                 raise ValueError(f"vertex {v} has an empty color set")
-            # exactly int: True, 1.9 and '1' are not color ids
+            # exactly int: True, 1.9 and '1' are not color ids; checked
+            # before sorting, so mixed types never reach sort()
             if not set(map(type, s)) <= {int}:
                 raise ValueError(f"vertex {v} has a color id that is not an integer")
-            if min(s) < 0:
+            s.sort()
+            if s[0] < 0:
                 raise ValueError(f"vertex {v} has a negative color id")
-        vars(self).update(n=n, color_sets=sets)
+            # sorted, so any repeat is next to its twin
+            if any(map(eq, s, islice(s, 1, None))):
+                s = list(dict.fromkeys(s))
+            kept.append(tuple(s))
+        vars(self).update(n=n, _sorted=tuple(kept))
+
+    @cached_property
+    def color_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self._sorted))
 
     def color_set(self, v: int) -> frozenset[int]:
         return self.color_sets[v - 1]
 
     @property
     def palette(self) -> frozenset[int]:
-        return frozenset().union(*self.color_sets)
+        return frozenset().union(*self._sorted)
 
     @cached_property
     def palette_size(self) -> int:
@@ -75,7 +90,7 @@ class Representation(_Frozen):
         return len(self.palette)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}: {sorted(self.color_set(v))}" for v in range(1, self.n + 1))
+        inner = ", ".join(f"{v}: {list(s)}" for v, s in enumerate(self._sorted, start=1))
         return f"Representation(n={self.n}, {{{inner}}})"
 
 
@@ -97,7 +112,7 @@ def verify(D: Digraph, rep: Representation) -> ValidityReport:
     # bit v - 1 stands for vertex v
     holders: dict[int, int] = {}
     by_size: dict[int, int] = {}
-    for i, s in enumerate(rep.color_sets):
+    for i, s in enumerate(rep._sorted):
         bit = 1 << i
         for c in s:
             holders[c] = holders.get(c, 0) | bit
@@ -111,7 +126,7 @@ def verify(D: Digraph, rep: Representation) -> ValidityReport:
     for t, h in D.arcs:
         out[t] |= 1 << (h - 1)
     violations: list[Violation] = []
-    for u, s in enumerate(rep.color_sets, start=1):
+    for u, s in enumerate(rep._sorted, start=1):
         meet = reduce(or_, map(holders.__getitem__, s))
         up = above[len(s)]
         bad = (meet & up) ^ out[u]
@@ -137,7 +152,7 @@ def restrict(rep: Representation, vertices: Iterable[int]) -> Representation:
     defining condition is pairwise).
     """
     sub = vertex_subset(vertices, rep.n)
-    return Representation(len(sub), tuple(rep.color_set(v) for v in sub))
+    return Representation(len(sub), [rep._sorted[v - 1] for v in sub])
 
 
 def canonicalize(rep: Representation) -> Representation:
@@ -147,18 +162,18 @@ def canonicalize(rep: Representation) -> Representation:
     order.  Validity and palette size are preserved; the map is idempotent.
     """
     mapping: dict[int, int] = {}
-    for v in range(1, rep.n + 1):
-        for c in sorted(rep.color_set(v)):
+    for s in rep._sorted:
+        for c in s:
             if c not in mapping:
                 mapping[c] = len(mapping)
-    return Representation(rep.n, tuple(frozenset(mapping[c] for c in s) for s in rep.color_sets))
+    return Representation(rep.n, [map(mapping.__getitem__, s) for s in rep._sorted])
 
 
 def rep_to_obj(rep: Representation) -> dict:
     """The JSON form as a dict: {"n":…, "phi": {"1": [...], …}, "palette_size":…}."""
     return {
         "n": rep.n,
-        "phi": {str(v): sorted(rep.color_set(v)) for v in range(1, rep.n + 1)},
+        "phi": {str(v): list(s) for v, s in enumerate(rep._sorted, start=1)},
         "palette_size": rep.palette_size,
     }
 

@@ -18,6 +18,7 @@ from dinrep import (
     canonicalize,
     gen_family,
     induced_subgraph,
+    inductive_construction,
     pairing_construction,
     rep_from_json,
     rep_to_json,
@@ -94,7 +95,11 @@ class TestVerify:
         with pytest.raises(ValueError, match="empty"):
             Representation(2, [{1}, set()])
 
-    @pytest.mark.parametrize("sets", [["01", [1.9]], [[0], [1.9]], [[True]], [[0], {2, 3.5}]])
+    @pytest.mark.parametrize("sets", [
+        ["01", [1.9]], [[0], [1.9]], [[True]], [[0], {2, 3.5}],
+        # an unhashable id and a mix that sort() could not order
+        [[[0]]], [[0, "a"]], [[0], ["a", 0]],
+    ])
     def test_non_integer_color_rejected(self, sets):
         # not converted: int() would read "01" as {0, 1}, 1.9 as 1, True as 1
         with pytest.raises(ValueError, match="not an integer"):
@@ -107,6 +112,55 @@ class TestVerify:
     def test_set_count_must_match_n(self):
         with pytest.raises(ValueError, match="expected 2 color sets, got 1"):
             Representation(2, [{0}])
+
+    def test_non_iterable_color_set(self):
+        with pytest.raises(TypeError):
+            Representation(1, [5])
+
+    @pytest.mark.parametrize("n,sets,message", [
+        (0, [], "^vertex count must be a positive integer, got 0$"),
+        (2, [[]], "^expected 2 color sets, got 1$"),
+        (2, [[], ["a"]], "^vertex 1 has an empty color set$"),
+        (2, [["a"], []], "^vertex 1 has a color id that is not an integer$"),
+        (1, [[-1, "a"]], "^vertex 1 has a color id that is not an integer$"),
+        (2, [[-1], ["a"]], "^vertex 1 has a negative color id$"),
+    ], ids=["n-before-count", "count-before-empty", "empty-before-type",
+            "type-before-empty", "type-before-negative", "negative-before-type"])
+    def test_first_fault_is_reported(self, n, sets, message):
+        # two faults each: n, then the set count, then vertex by vertex the
+        # empty set, a non-integer id, a negative id
+        with pytest.raises(ValueError, match=message):
+            Representation(n, sets)
+
+    @pytest.mark.parametrize("sets", [
+        [[0], [2, 1, 0]],
+        [[0, 0], [0, 1, 2, 2, 1]],
+        [(c for c in [0]), (c for c in [1, 0, 2])],
+        [range(1), range(3)],
+        [{0}, {2, 1, 0}],
+        (frozenset(s) for s in [[0], [0, 1, 2]]),
+    ], ids=["unsorted", "duplicates", "generators", "ranges", "sets", "generator-of-sets"])
+    def test_equal_inputs_give_equal_reps(self, sets):
+        rep = Representation(2, sets)
+        expected = Representation(2, [[0], [0, 1, 2]])
+        assert rep == expected and hash(rep) == hash(expected)
+        assert repr(rep) == "Representation(n=2, {1: [0], 2: [0, 1, 2]})"
+        assert rep.palette_size == 3
+
+    def test_color_sets_is_a_cached_read_only_view(self):
+        rep = Representation(2, [[3, 1], [1]])
+        view = rep.color_sets
+        assert view == (frozenset({1, 3}), frozenset({1}))
+        assert type(view) is tuple and all(type(s) is frozenset for s in view)
+        assert rep.color_sets is view and rep.color_set(1) is view[0]
+        with pytest.raises(AttributeError):
+            rep.color_sets = ()
+        with pytest.raises(AttributeError):
+            del rep.color_sets
+        assert rep.color_sets is view
+        # the view takes no part in equality or hashing
+        assert rep == Representation(2, [[1, 3], [1]])
+        assert hash(rep) == hash(Representation(2, [[1, 3], [1]]))
 
     @settings(deadline=None, max_examples=300)
     @given(digraph_and_rep())
@@ -280,3 +334,25 @@ class TestJson:
     def test_bool_vertex_count(self):
         with pytest.raises(ValueError):
             Representation(True, [{0}])
+
+
+_N60 = connected_dag_corpus(60, 1, seed=63)[0]
+_BUILT = {
+    "pairing": lambda: (_N60, pairing_construction(_N60)),
+    "inductive": lambda: (_N60, inductive_construction(_N60)),
+    "closed-form": lambda: (gen_family("source_arc_path", 60), source_arc_path_representation(60)),
+}
+
+
+@pytest.mark.parametrize("build", _BUILT.values(), ids=_BUILT)
+def test_hot_path_builds_no_frozenset_view(build):
+    """Construction, JSON, verify, canonicalize, restrict and the palette
+    count read the sorted tuples; only ``color_sets`` builds frozensets."""
+    D, rep = build()
+    loaded = rep_from_json(rep_to_json(rep))
+    assert verify(D, rep).valid and verify(D, loaded).valid
+    made = [rep, loaded, canonicalize(rep), restrict(rep, range(1, 31))]
+    assert [r.palette_size for r in made[:3]] == [rep.palette_size] * 3
+    for r in made:
+        assert "color_sets" not in vars(r)
+
