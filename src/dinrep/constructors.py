@@ -218,9 +218,12 @@ def _inductive(n: int, out: list[set[int]], colors: count) -> list[list[int]]:
 # consecutive odd-even pair, link colors tie each even vertex to the next
 # odd one, fill colors are the per-pair bulk shared only inside a pair,
 # patch colors serve the augmented family's added arcs
-def _source_arc_path(n: int, colors: count) -> tuple[dict[int, set[int]], dict[int, list[int]]]:
-    """Closed-form sets of the source arc-path and each odd vertex's fill colors."""
+def _closed_form(n: int, added: list[tuple[int, int]]) -> list[list[int]]:
+    """Each vertex's colors in ascending id order: the source arc-path
+    layout, in which a vertex that ends j added arcs gives up its last j
+    fill colors, still held by its pair partner, for those arcs' patches."""
     half = n // 2
+    colors = count()
     hubs = list(islice(colors, half))  # pairs 1..half
     pairs = list(islice(colors, half - 1))  # pairs 2..half
     links = list(islice(colors, half - 1))  # pairs 1..half-1
@@ -228,16 +231,19 @@ def _source_arc_path(n: int, colors: count) -> tuple[dict[int, set[int]], dict[i
     # one more, minted last
     fills = [list(islice(colors, half - 1))]
     fills += [list(islice(colors, half + 2 * i - 4)) for i in range(2, half + 1)]
+    extra = next(colors)
+    patches: list[list[int]] = [[] for _ in range(n + 1)]
+    for arc, patch in zip(added, colors):
+        for v in arc:
+            patches[v].append(patch)
 
-    phi = {1: set(hubs), 2: {hubs[0], *fills[0]}}
-    for e, hub, pair, fill in zip(range(4, n + 1, 2), hubs[1:], pairs, fills[1:]):
-        phi[e - 1] = {pair, *fill}
-        phi[e] = {hub, pair, *fill}
-    for e, link in zip(range(2, n, 2), links):
-        phi[e].add(link)
-        phi[e + 1].add(link)
-    phi[n].add(next(colors))
-    return phi, {2 * i + 1: fills[i] for i in range(1, half)}
+    phi = [hubs, [hubs[0], links[0], *fills[0]]]
+    for i in range(1, half):  # pair i + 1: vertices 2i + 1 and 2i + 2
+        fill, patch = fills[i], patches[2 * i + 1]
+        phi.append([pairs[i - 1], links[i - 1], *fill[:len(fill) - len(patch)], *patch])
+        phi.append([hubs[i], pairs[i - 1], *links[i:i + 1], *fill])
+    phi[-1].append(extra)
+    return phi
 
 
 def source_arc_path_representation(n: int) -> Representation:
@@ -248,8 +254,7 @@ def source_arc_path_representation(n: int) -> Representation:
     """
     if not is_int(n) or n % 2 or n < 4:
         raise ValueError(f"source arc-path closed form needs even n >= 4, got {n!r}")
-    phi, _ = _source_arc_path(n, count())
-    rep = Representation(n, [phi[v] for v in range(1, n + 1)])
+    rep = Representation(n, _closed_form(n, []))
     assert rep.palette_size == source_arc_path_din(n)
     return rep
 
@@ -262,13 +267,7 @@ def augmented_representation(n: int) -> Representation:
     the pair partner, is dropped from each endpoint.  Each step therefore
     grows the palette by exactly one.
     """
-    added = augmented_added_arcs(n)  # checks n before any other work
-    colors = count()
-    phi, reservoir = _source_arc_path(n, colors)
-    for arc, patch in zip(added, colors):
-        for v in arc:
-            phi[v].add(patch)
-            phi[v].remove(reservoir[v].pop())
-    rep = Representation(n, [phi[v] for v in range(1, n + 1)])
+    # augmented_added_arcs checks n before any other work
+    rep = Representation(n, _closed_form(n, augmented_added_arcs(n)))
     assert rep.palette_size == augmented_din(n)
     return rep

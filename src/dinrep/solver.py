@@ -284,7 +284,7 @@ class _Search:
             ))
         # class i is color i
         return canonicalize(Representation(self.n, [
-            {i for i, holders in enumerate(self.classes) if (holders >> p) & 1}
+            [i for i, holders in enumerate(self.classes) if (holders >> p) & 1]
             for p in sorted(range(self.n), key=self.order.__getitem__)
         ]))
 

@@ -111,6 +111,17 @@ class TestConstruct:
         assert stdout == ""
         assert err.startswith("error: closed-form method requires")
 
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_closed_form_odd_source_arc_path_names_its_domain(self, capsys, tmp_path, n):
+        # the graph matches the family exactly; the closed form's own
+        # domain error is what the user sees
+        g = tmp_path / f"sap{n}.g"
+        g.write_text(to_edge_list(gen_family("source_arc_path", n)))
+        code, stdout, err = run(capsys, "construct", str(g), "--method", "closed-form")
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: source arc-path closed form needs even n >= 4, got {n}\n"
+
     def test_closed_form_rejects_by_arc_count_first(self, capsys, tmp_path, monkeypatch):
         # the augmented family on 4,000 vertices has about a million arcs;
         # a path's arc count matches neither family, so neither is built

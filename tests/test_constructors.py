@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from operator import lt
 
 import pytest
 
@@ -18,6 +19,7 @@ from dinrep import (
     left_to_right_order,
     lemma_upper_bound,
     pairing_construction,
+    Representation,
     source_arc_path_din,
     source_arc_path_representation,
     verify,
@@ -26,6 +28,7 @@ from dinrep.constructors import initial_block_sizes
 from corpus import all_forward_digraphs, connected_dag_corpus, random_dag
 
 TRIANGLE = Digraph(3, {(1, 2), (2, 3), (3, 1)})
+H7 = Digraph(7, {(1, 2), (1, 4), (1, 6), (2, 3), (2, 7), (3, 4), (4, 5), (4, 7), (5, 6)})
 
 
 class TestPairingConstruction:
@@ -215,6 +218,42 @@ class TestAugmentedRepresentation:
         for n in (6, 9):
             with pytest.raises(ValueError, match="augmented source arc-path requires even n >= 8"):
                 augmented_representation(n)
+
+
+def _closed_forms():
+    for n in range(4, 41, 2):
+        source_arc_path_representation(n)
+    for n in range(8, 41, 2):
+        augmented_representation(n)
+
+
+def _witnesses():
+    for D in [H7, *all_forward_digraphs(5)]:
+        exact_din(D)
+
+
+class TestAscendingColourLists:
+    """The closed forms and the exact search's witness hand ``Representation``
+    each vertex's colours as a list in strictly ascending id order, so its
+    sort meets presorted input."""
+
+    @pytest.mark.parametrize("target,calls", [
+        ("dinrep.constructors.Representation", _closed_forms),
+        ("dinrep.solver.Representation", _witnesses),
+    ])
+    def test_every_handed_colour_set_is_an_ascending_list(self, monkeypatch, target, calls):
+        handed = []
+
+        def recording(n, color_sets):
+            color_sets = list(color_sets)
+            handed.extend(color_sets)
+            return Representation(n, color_sets)
+
+        monkeypatch.setattr(target, recording)
+        calls()
+        assert handed
+        for s in handed:
+            assert type(s) is list and all(map(lt, s, s[1:])), s
 
 
 class TestOracleDominance:
